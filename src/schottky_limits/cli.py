@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 import jsonschema
 
 from . import limits, report as report_mod
-from .freewords import PrefixFreeViolated, WordFamily, theta, verify_free_generation
+from .freewords import PrefixFreeViolated, WordFamily, verify_free_generation
 from .mobius import NonUnitDeterminant
 from .render import render_svg
 from .schottky import Certificate, SchottkyData, default_generators, verify_ping_pong
@@ -65,22 +65,39 @@ def _dump(doc: dict, out: Optional[str]) -> None:
     _emit(report_mod.dumps(doc), out)
 
 
+def _tolerance_not_reached(exc: limits.ToleranceNotReached, out: Optional[str]) -> NoReturn:
+    _dump({"status": "tolerance-not-reached", "detail": str(exc)}, out)
+    sys.exit(1)
+
+
+def _positive(ctx, param, value: float) -> float:
+    # click.FloatRange lets nan through, and a nan tolerance counts as reached
+    if not value > 0:
+        raise click.BadParameter("must be positive")
+    return value
+
+
+def max_index_opt(lowest: int):
+    return click.option("--max-index", default=6, show_default=True,
+                        type=click.IntRange(min=lowest),
+                        help="Largest family index for enumeration.")
+
+
 input_opt = click.option("--input", "input_path", type=click.Path(), default=None,
                          help="SchottkyData JSON file (default: shipped generators).")
 out_opt = click.option("--out", "out", type=click.Path(), default=None,
                        help="Output file (default: stdout).")
 n_max_opt = click.option("--n-max", default=12, show_default=True,
+                         type=click.IntRange(min=1),
                          help="Depth of the theta sequence used for geometry.")
-max_index_opt = click.option("--max-index", default=6, show_default=True,
-                             help="Largest family index for enumeration.")
 max_syllables_opt = click.option("--max-syllables", default=3, show_default=True,
+                                 type=click.IntRange(min=1),
                                  help="Syllable bound for exhaustive enumeration.")
 max_length_opt = click.option("--max-length", default=8, show_default=True,
+                              type=click.IntRange(min=1),
                               help="Reduced-word length bound for orbit enumeration.")
-tol_opt = click.option("--tol", default=1e-10, show_default=True,
+tol_opt = click.option("--tol", default=1e-10, show_default=True, callback=_positive,
                        help="Bracketing tolerance for the limit point.")
-format_opt = click.option("--format", "fmt", type=click.Choice(["json", "svg"]),
-                          default=None, help="Output format (inferred per command).")
 
 
 @click.group()
@@ -101,7 +118,7 @@ def certify(input_path, out):
 
 
 @main.command()
-@max_index_opt
+@max_index_opt(1)
 @max_syllables_opt
 @out_opt
 def freeness(max_index, max_syllables, out):
@@ -129,56 +146,35 @@ def freeness(max_index, max_syllables, out):
 
 @main.command()
 @input_opt
-@max_index_opt
 @n_max_opt
 @tol_opt
 @out_opt
-def construct(input_path, max_index, n_max, tol, out):
+def construct(input_path, n_max, tol, out):
     """Bracket the shared limit point and report the radial witness."""
     sd = _load_schottky(input_path)
-    fam = WordFamily(max_index=max(max_index, n_max))
     try:
-        eta = limits.estimate_limit_point(fam, sd, n_max, tol)
+        radial = report_mod.radial_fragment(sd, n_max, tol)
     except limits.ToleranceNotReached as exc:
-        _dump({"status": "tolerance-not-reached", "detail": str(exc)}, out)
-        sys.exit(1)
-    witness = limits.radial_check(eta, fam, sd, n_max)
-    _dump(
-        {
-            "status": "ok",
-            "eta": report_mod.fmt_float(float(eta.x)),
-            "constant_c": report_mod.fmt_float(witness.constant_c),
-            "per_n": [
-                {"n": n, "distance": report_mod.fmt_float(d)}
-                for n, d in witness.per_n
-            ],
-            "radial_bounded_trend": witness.bounded_trend,
-        },
-        out,
-    )
-    sys.exit(0 if witness.bounded_trend else 1)
+        _tolerance_not_reached(exc, out)
+    _dump({"status": "ok", **radial}, out)
+    sys.exit(0 if radial["radial_bounded_trend"] else 1)
 
 
 @main.command()
 @input_opt
-@max_index_opt
+@max_index_opt(2)
 @max_syllables_opt
 @out_opt
 def intersect(input_path, max_index, max_syllables, out):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
     sd = _load_schottky(input_path)
-    fam = WordFamily(max_index=max_index)
-    odd = [theta(n, fam) for n in range(1, max_index + 1, 2)]
-    even = [theta(n, fam) for n in range(2, max_index + 1, 2)]
-    g1 = limits.enumerate_subgroup(odd, max_syllables)
-    g2 = limits.enumerate_subgroup(even, max_syllables)
+    g1, g2 = limits.theta_subgroups(WordFamily(max_index=max_index), max_syllables)
     common = limits.intersect_subgroups(g1, g2)
     cross = limits.intersect_by_matrices(g1, g2, sd)
     doc = {
         "g1_size": len(g1),
         "g2_size": len(g2),
-        "intersection": sorted((w.to_string() for w in common),
-                               key=lambda s: (len(s), s)),
+        "intersection": report_mod.word_strings(common),
         "matrix_cross_check_agrees": cross == common,
     }
     _dump(doc, out)
@@ -189,7 +185,7 @@ def intersect(input_path, max_index, max_syllables, out):
 @main.command()
 @input_opt
 @n_max_opt
-@max_index_opt
+@max_index_opt(2)
 @max_syllables_opt
 @max_length_opt
 @tol_opt
@@ -197,14 +193,17 @@ def intersect(input_path, max_index, max_syllables, out):
 def report(input_path, n_max, max_index, max_syllables, max_length, tol, out):
     """Run the full pipeline into one construction report."""
     sd = _load_schottky(input_path)
-    doc = report_mod.build_report(
-        sd,
-        n_max=n_max,
-        max_index=max_index,
-        max_syllables=max_syllables,
-        max_length=max_length,
-        tol=tol,
-    )
+    try:
+        doc = report_mod.build_report(
+            sd,
+            n_max=n_max,
+            max_index=max_index,
+            max_syllables=max_syllables,
+            max_length=max_length,
+            tol=tol,
+        )
+    except limits.ToleranceNotReached as exc:
+        _tolerance_not_reached(exc, out)
     _dump(doc, out)
     sys.exit(0 if report_mod.report_verified(doc) else 1)
 
@@ -214,12 +213,8 @@ def report(input_path, n_max, max_index, max_syllables, max_length, tol, out):
 @n_max_opt
 @tol_opt
 @out_opt
-@format_opt
-def render(input_path, n_max, tol, out, fmt):
+def render(input_path, n_max, tol, out):
     """Emit an SVG of the construction on the Poincare disk."""
-    if fmt not in (None, "svg"):
-        click.echo("render only supports --format svg", err=True)
-        sys.exit(2)
     sd = _load_schottky(input_path)
     fam = WordFamily(max_index=max(n_max, 12))
     verdict = verify_ping_pong(sd)

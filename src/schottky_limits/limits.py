@@ -23,7 +23,7 @@ from .mobius import (
     apply,
     dist_to_ray,
     hyp_dist,
-    inverse,
+    point_along_ray,
 )
 from .schottky import SchottkyData, nested_disk, word_to_element
 
@@ -161,7 +161,7 @@ def estimate_limit_point(
     point resolved at the scale of the deepest orbit point, not merely tol.
     The true limit lies inside every computed interval.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     brackets = limit_point_brackets(fam, sd, n_max)
     widths = [float(hi - lo) for lo, hi in brackets]
@@ -208,16 +208,6 @@ def radial_check(
         per_n.append((n, dist_to_ray(p, ray)))
     c = max(d for _, d in per_n)
     return RadialWitness(eta, c, tuple(per_n))
-
-
-def point_along_ray(ray: GeodesicRay, t: float) -> Interior:
-    """The point at hyperbolic distance t from the base along the ray."""
-    from .mobius import _raw_apply, _raw_inverse, _standard_position
-
-    g = _standard_position(ray)
-    base = _raw_apply(g, ray.base)
-    q = Interior(0.0, float(base.y) * math.exp(t))
-    return _raw_apply(_raw_inverse(g), q)
 
 
 def uniform_radial_check(
@@ -274,6 +264,16 @@ def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
                     out.add(nw)
         frontier = nxt
     return out
+
+
+def theta_subgroups(
+    fam: WordFamily, max_syllables: int
+) -> Tuple[Set[Word], Set[Word]]:
+    """Bounded enumerations of the odd and even theta subgroups,
+    <theta_1, theta_3, ...> and <theta_2, theta_4, ...> up to fam.max_index."""
+    odd = [theta(n, fam) for n in range(1, fam.max_index + 1, 2)]
+    even = [theta(n, fam) for n in range(2, fam.max_index + 1, 2)]
+    return enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
 
 
 def intersect_subgroups(g1: Set[Word], g2: Set[Word]) -> Set[Word]:

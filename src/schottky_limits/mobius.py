@@ -313,3 +313,11 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
     if q.x * q.x + q.y * q.y >= base.y * base.y:
         return math.asinh(abs(float(q.x / q.y)))
     return hyp_dist(p, ray.base)
+
+
+def point_along_ray(ray: GeodesicRay, t: float) -> Interior:
+    """The point at hyperbolic distance t from the base along the ray."""
+    g = _standard_position(ray)
+    base = _raw_apply(g, ray.base)
+    q = Interior(0.0, float(base.y) * math.exp(t))
+    return _raw_apply(_raw_inverse(g), q)

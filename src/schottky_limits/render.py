@@ -12,8 +12,15 @@ import math
 from typing import List, Optional, Tuple
 
 from .freewords import WordFamily, theta
-from .limits import point_along_ray
-from .mobius import BASE_POINT, Boundary, GeodesicRay, Infinity, Interior, apply
+from .mobius import (
+    BASE_POINT,
+    Boundary,
+    GeodesicRay,
+    Infinity,
+    Interior,
+    apply,
+    point_along_ray,
+)
 from .schottky import Circle, SchottkyData, nested_disk, word_to_element
 
 SIZE = 600.0
@@ -74,7 +81,6 @@ def render_svg(
     fam: WordFamily,
     eta: Optional[Boundary],
     n_max: int,
-    show_nested: bool = True,
 ) -> str:
     """SVG 1.1 document with the four Schottky circles, n_max theta orbit
     markers, the ray toward eta, and the nested disks of the theta prefixes."""
@@ -95,15 +101,14 @@ def render_svg(
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
 
-    if show_nested:
-        for n in range(1, n_max + 1):
-            ux, uy, r = disk_circle(nested_disk(theta(n, fam), sd))
-            x, y = to_canvas(complex(ux, uy))
-            parts.append(
-                f'<circle class="nested" cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                f'r="{_fmt(SCALE * r)}" fill="none" stroke="#bbbbbb" '
-                'stroke-width="0.6"/>'
-            )
+    for n in range(1, n_max + 1):
+        ux, uy, r = disk_circle(nested_disk(theta(n, fam), sd))
+        x, y = to_canvas(complex(ux, uy))
+        parts.append(
+            f'<circle class="nested" cx="{_fmt(x)}" cy="{_fmt(y)}" '
+            f'r="{_fmt(SCALE * r)}" fill="none" stroke="#bbbbbb" '
+            'stroke-width="0.6"/>'
+        )
 
     for c in sd.circles():
         ux, uy, r = disk_circle(c)

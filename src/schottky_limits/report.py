@@ -7,15 +7,15 @@ strings, floats as decimal strings with 12 significant digits.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterable, List
 
-from .freewords import WordFamily, theta, verify_free_generation
+from .freewords import Word, WordFamily, verify_free_generation
 from .limits import (
-    enumerate_subgroup,
     estimate_limit_point,
     intersect_subgroups,
     qi_check,
     radial_check,
+    theta_subgroups,
 )
 from .schottky import Certificate, SchottkyData, Violation, verify_ping_pong
 
@@ -34,9 +34,29 @@ def certificate_dict(verdict) -> dict:
     }
 
 
+def radial_fragment(sd: SchottkyData, n_max: int, tol: float) -> dict:
+    """Limit point, radial constant and per-depth distances of theta_1..theta_n_max.
+
+    Raises ToleranceNotReached when no bracket up to n_max is narrower than tol.
+    """
+    fam = WordFamily(max_index=n_max)
+    eta = estimate_limit_point(fam, sd, n_max, tol)
+    witness = radial_check(eta, fam, sd, n_max)
+    return {
+        "eta": fmt_float(float(eta.x)),
+        "constant_c": fmt_float(witness.constant_c),
+        "per_n": [{"n": n, "distance": fmt_float(d)} for n, d in witness.per_n],
+        "radial_bounded_trend": witness.bounded_trend,
+    }
+
+
+def word_strings(words: Iterable[Word]) -> List[str]:
+    """String forms, shortest first, then lexicographic."""
+    return sorted((w.to_string() for w in words), key=lambda s: (len(s), s))
+
+
 def build_report(
     sd: SchottkyData,
-    fam: Optional[WordFamily] = None,
     n_max: int = 12,
     max_index: int = 6,
     max_syllables: int = 3,
@@ -49,16 +69,14 @@ def build_report(
     point bracketing, radial witness, QI envelope, and the odd/even theta
     subgroup intersection at the given syllable depth.
     """
-    # geometry walks the theta sequence to n_max; exhaustive combinatorics
-    # stays at max_index
-    fam = fam or WordFamily(max_index=max(max_index, n_max))
-    comb_fam = WordFamily(rule=fam.rule, max_index=max_index)
     verdict = verify_ping_pong(sd)
     report: dict = {"certificate": certificate_dict(verdict)}
     if isinstance(verdict, Violation):
         return report
 
-    free = verify_free_generation(comb_fam, max_syllables)
+    # exhaustive combinatorics stays at max_index; geometry walks theta to n_max
+    fam = WordFamily(max_index=max_index)
+    free = verify_free_generation(fam, max_syllables)
     report["free_generation"] = {
         "verified": free.verified,
         "words_checked": free.words_checked,
@@ -67,14 +85,7 @@ def build_report(
         "note": "bounded verification",
     }
 
-    eta = estimate_limit_point(fam, sd, n_max, tol)
-    witness = radial_check(eta, fam, sd, n_max)
-    report["eta"] = fmt_float(float(eta.x))
-    report["constant_c"] = fmt_float(witness.constant_c)
-    report["per_n"] = [
-        {"n": n, "distance": fmt_float(d)} for n, d in witness.per_n
-    ]
-    report["radial_bounded_trend"] = witness.bounded_trend
+    report.update(radial_fragment(sd, n_max, tol))
 
     qi = qi_check(sd, max_length)
     report["qi"] = {
@@ -89,14 +100,8 @@ def build_report(
         "max_length": qi.max_length,
     }
 
-    odd = [theta(n, comb_fam) for n in range(1, max_index + 1, 2)]
-    even = [theta(n, comb_fam) for n in range(2, max_index + 1, 2)]
-    g1 = enumerate_subgroup(odd, max_syllables)
-    g2 = enumerate_subgroup(even, max_syllables)
-    common = intersect_subgroups(g1, g2)
-    report["intersection"] = sorted(
-        (w.to_string() for w in common), key=lambda s: (len(s), s)
-    )
+    g1, g2 = theta_subgroups(fam, max_syllables)
+    report["intersection"] = word_strings(intersect_subgroups(g1, g2))
     report["subgroup_sizes"] = {"g1": len(g1), "g2": len(g2)}
     return report
 

@@ -138,6 +138,66 @@ class TestRender:
         assert result.exit_code == 2
 
 
+class TestBounds:
+    @pytest.mark.parametrize("args", [
+        ["construct", "--n-max", "0"],
+        ["construct", "--tol", "-1"],
+        ["construct", "--tol", "nan"],
+        ["intersect", "--max-index", "1"],
+        ["report", "--max-index", "1"],
+        ["freeness", "--max-syllables", "0"],
+        ["freeness", "--max-index", "0"],
+        ["report", "--max-length", "0"],
+        ["render", "--n-max", "0"],
+    ])
+    def test_out_of_range_exit_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    def test_report_tolerance_not_reached(self, runner):
+        result = runner.invoke(main, [
+            "report", "--n-max", "1", "--max-index", "2",
+            "--max-syllables", "1", "--max-length", "1",
+        ])
+        assert result.exit_code == 1
+        doc = json.loads(result.output)
+        assert doc["status"] == "tolerance-not-reached"
+        assert "bracket width" in doc["detail"]
+
+
+class TestSinglePath:
+    """The subcommands and the report compute each verdict the same way."""
+
+    @pytest.fixture()
+    def small_report(self, runner):
+        result = runner.invoke(main, [
+            "report", "--n-max", "6", "--max-index", "4",
+            "--max-syllables", "2", "--max-length", "3",
+        ])
+        assert result.exit_code == 0
+        return json.loads(result.output)
+
+    def test_construct_matches_report(self, runner, small_report):
+        result = runner.invoke(main, ["construct", "--n-max", "6"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc.pop("status") == "ok"
+        assert doc == {k: small_report[k] for k in doc}
+
+    def test_intersect_matches_report(self, runner, small_report):
+        result = runner.invoke(
+            main, ["intersect", "--max-index", "4", "--max-syllables", "2"]
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["intersection"] == small_report["intersection"]
+        assert {"g1": doc["g1_size"], "g2": doc["g2_size"]} == (
+            small_report["subgroup_sizes"]
+        )
+
+
 class TestSchemas:
     def test_default_data_validates(self):
         jsonschema.validate(default_generators().to_json_dict(), SCHOTTKY_SCHEMA)

@@ -14,7 +14,6 @@ from schottky_limits.limits import (
     intersect_subgroups,
     limit_point_brackets,
     orbit_samples,
-    point_along_ray,
     qi_check,
     radial_check,
     uniform_radial_check,
@@ -26,6 +25,7 @@ from schottky_limits.mobius import (
     GroupElement,
     apply,
     hyp_dist,
+    point_along_ray,
 )
 from schottky_limits.schottky import word_to_element
 

@@ -206,7 +206,7 @@ class TestHypDist:
 def sampled_ray_min(p, ray, coarse=400):
     """Brute-force minimization of hyp_dist over a parameterization of the
     ray, refined by ternary search (distance along a geodesic is convex)."""
-    from schottky_limits.limits import point_along_ray
+    from schottky_limits.mobius import point_along_ray
 
     pf = Interior(float(p.x), float(p.y))
     reach = hyp_dist(ray.base, pf) + 1.0
