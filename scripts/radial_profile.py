@@ -7,7 +7,6 @@ Usage: python scripts/radial_profile.py [n_max]
 
 import sys
 
-from schottky_limits.freewords import WordFamily
 from schottky_limits.limits import (
     estimate_limit_point,
     limit_point_brackets,
@@ -19,11 +18,10 @@ from schottky_limits.schottky import default_generators
 def main(argv):
     n_max = int(argv[1]) if len(argv) > 1 else 12
     sd = default_generators()
-    fam = WordFamily(max_index=n_max)
 
-    brackets = limit_point_brackets(fam, sd, n_max)
-    eta = estimate_limit_point(fam, sd, n_max, 1e-10)
-    witness = radial_check(eta, fam, sd, n_max)
+    brackets = limit_point_brackets(sd, n_max)
+    eta = estimate_limit_point(brackets, 1e-10)
+    witness = radial_check(eta, sd, n_max)
 
     print(f"eta = {float(eta.x):.12g}")
     print(f"{'n':>3} {'bracket width':>14} {'dist to ray':>12}")

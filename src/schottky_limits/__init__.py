@@ -48,9 +48,10 @@ from .limits import (
     enumerate_subgroup,
     estimate_limit_point,
     intersect_subgroups,
+    limit_point_brackets,
     qi_check,
     radial_check,
-    uniform_radial_check,
+    theta_orbit,
 )
 
 __version__ = "0.1.0"

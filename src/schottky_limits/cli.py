@@ -17,7 +17,8 @@ Custom generators are supplied as a SchottkyData JSON document:
     }
 
 Matrix entries and circle data are rational strings "p/q"; matrices must
-normalize to determinant 1.
+normalize to determinant 1. construct, intersect and render refuse an input
+whose ping-pong certificate fails, with exit 1 and the violation on stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def _load_schottky(input_path: Optional[str]) -> SchottkyData:
     except (jsonschema.ValidationError, NonUnitDeterminant, KeyError, ValueError) as exc:
         click.echo(f"schema violation: {exc}", err=True)
         sys.exit(2)
+
+
+def _load_certified(input_path: Optional[str]) -> SchottkyData:
+    """Load the input and stop with exit 1 unless its ping-pong certificate holds."""
+    sd = _load_schottky(input_path)
+    verdict = verify_ping_pong(sd)
+    if not isinstance(verdict, Certificate):
+        click.echo(f"violation: {verdict.name}: {verdict.detail}", err=True)
+        sys.exit(1)
+    return sd
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -151,7 +162,7 @@ def freeness(max_index, max_syllables, out):
 @out_opt
 def construct(input_path, n_max, tol, out):
     """Bracket the shared limit point and report the radial witness."""
-    sd = _load_schottky(input_path)
+    sd = _load_certified(input_path)
     try:
         radial = report_mod.radial_fragment(sd, n_max, tol)
     except limits.ToleranceNotReached as exc:
@@ -167,7 +178,7 @@ def construct(input_path, n_max, tol, out):
 @out_opt
 def intersect(input_path, max_index, max_syllables, out):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
-    sd = _load_schottky(input_path)
+    sd = _load_certified(input_path)
     g1, g2 = limits.theta_subgroups(WordFamily(max_index=max_index), max_syllables)
     common = limits.intersect_subgroups(g1, g2)
     cross = limits.intersect_by_matrices(g1, g2, sd)
@@ -215,17 +226,14 @@ def report(input_path, n_max, max_index, max_syllables, max_length, tol, out):
 @out_opt
 def render(input_path, n_max, tol, out):
     """Emit an SVG of the construction on the Poincare disk."""
-    sd = _load_schottky(input_path)
-    fam = WordFamily(max_index=max(n_max, 12))
-    verdict = verify_ping_pong(sd)
-    if not isinstance(verdict, Certificate):
-        click.echo(f"violation: {verdict.name}: {verdict.detail}", err=True)
-        sys.exit(1)
+    sd = _load_certified(input_path)
+    # eta is bracketed at depth 12 at least; the figure shows the first n_max disks
+    brackets = limits.limit_point_brackets(sd, max(n_max, 12))
     try:
-        eta = limits.estimate_limit_point(fam, sd, max(n_max, 12), tol)
-    except limits.ToleranceNotReached:
-        eta = None
-    _emit(render_svg(sd, fam, eta, n_max), out)
+        eta = limits.estimate_limit_point(brackets, tol)
+    except limits.ToleranceNotReached as exc:
+        _tolerance_not_reached(exc, out)
+    _emit(render_svg(sd, brackets[:n_max], limits.theta_orbit(sd, n_max), eta), out)
     sys.exit(0)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from .freewords import EMPTY, Word, WordFamily, reduce, theta
 from .mobius import (
@@ -23,7 +23,6 @@ from .mobius import (
     apply,
     dist_to_ray,
     hyp_dist,
-    point_along_ray,
 )
 from .schottky import SchottkyData, nested_disk, word_to_element
 
@@ -135,38 +134,46 @@ def count_orbit_in_ball(sd: SchottkyData, R: float, max_length: int) -> OrbitCou
     return OrbitCount(count, R, max_length, certified, qi)
 
 
-def limit_point_brackets(
-    fam: WordFamily, sd: SchottkyData, n_max: int
-) -> List[Tuple[Fraction, Fraction]]:
-    """Exact nested boundary intervals from the disks of the theta prefixes.
+def _thetas(n_max: int) -> Iterator[Word]:
+    """theta_1..theta_n_max of the default family, whose omega_n = b^n a use
+    only positive letters, so that theta_n is a prefix of theta_{n+1}."""
+    fam = WordFamily(max_index=n_max)
+    return (theta(n, fam) for n in range(1, n_max + 1))
 
-    theta_n is a prefix of theta_{n+1} (the default family uses only positive
-    letters), so the disks nest and the footprints bracket the limit point.
+
+def limit_point_brackets(
+    sd: SchottkyData, n_max: int
+) -> List[Tuple[Fraction, Fraction]]:
+    """Exact nested boundary intervals: the footprints of the disks of
+    theta_1..theta_n_max.
+
+    theta_n is a prefix of theta_{n+1}, so the disks nest and the footprints
+    bracket the limit point.
     """
-    brackets = []
-    for n in range(1, n_max + 1):
-        disk = nested_disk(theta(n, fam), sd)
-        brackets.append(disk.interval())
-    return brackets
+    return [nested_disk(w, sd).interval() for w in _thetas(n_max)]
+
+
+def theta_orbit(sd: SchottkyData, n_max: int) -> List[Interior]:
+    """The orbit points theta_1(i)..theta_n_max(i)."""
+    return [apply(word_to_element(w, sd), BASE_POINT) for w in _thetas(n_max)]
 
 
 def estimate_limit_point(
-    fam: WordFamily, sd: SchottkyData, n_max: int, tol: float
+    brackets: Sequence[Tuple[Fraction, Fraction]], tol: float
 ) -> Boundary:
     """Certified bracketing of the limit of theta_n(i) on the boundary.
 
-    Fails unless some interval up to depth n_max has Euclidean width below
-    tol. The returned point is the midpoint of the deepest interval, which
-    is far tighter than tol: downstream radial distances need the limit
-    point resolved at the scale of the deepest orbit point, not merely tol.
-    The true limit lies inside every computed interval.
+    Fails unless some of the nested brackets has Euclidean width below tol.
+    The returned point is the midpoint of the deepest bracket, which is far
+    tighter than tol: downstream radial distances need the limit point
+    resolved at the scale of the deepest orbit point, not merely tol. The
+    true limit lies inside every bracket.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    brackets = limit_point_brackets(fam, sd, n_max)
     widths = [float(hi - lo) for lo, hi in brackets]
     if min(widths) >= tol:
-        raise ToleranceNotReached(min(widths), n_max)
+        raise ToleranceNotReached(min(widths), len(brackets))
     lo, hi = brackets[-1]
     return Boundary((lo + hi) / 2)
 
@@ -191,9 +198,7 @@ class RadialWitness:
         return self.constant_c <= 1.5 * half and tail <= self.constant_c
 
 
-def radial_check(
-    eta: Boundary, fam: WordFamily, sd: SchottkyData, n_max: int
-) -> RadialWitness:
+def radial_check(eta: Boundary, sd: SchottkyData, n_max: int) -> RadialWitness:
     """Distance from each theta_n(i) to the ray [i, eta], n = 1..n_max.
 
     The reported constant is the max; boundedness of the whole sequence is
@@ -202,45 +207,10 @@ def radial_check(
     if not isinstance(eta, Boundary):
         raise ValueError("eta must be a boundary point")
     ray = GeodesicRay(BASE_POINT, eta)
-    per_n = []
-    for n in range(1, n_max + 1):
-        p = apply(word_to_element(theta(n, fam), sd), BASE_POINT)
-        per_n.append((n, dist_to_ray(p, ray)))
+    orbit = theta_orbit(sd, n_max)
+    per_n = tuple((n, dist_to_ray(p, ray)) for n, p in enumerate(orbit, 1))
     c = max(d for _, d in per_n)
-    return RadialWitness(eta, c, tuple(per_n))
-
-
-def uniform_radial_check(
-    eta: Boundary,
-    gens: Sequence[Word],
-    sd: SchottkyData,
-    depth: int,
-    samples: int = 200,
-    ray_length: Optional[float] = None,
-) -> float:
-    """Empirical uniform-radial constant for the subgroup generated by gens.
-
-    Samples the ray [i, eta] out to ray_length (default: the distance
-    reachable by the bounded orbit enumeration) and returns the max over
-    samples of the min distance to the enumerated orbit. Bounded-depth
-    evidence only; monotonicity in depth holds for a fixed ray_length.
-    """
-    ray = GeodesicRay(BASE_POINT, eta)
-    words = enumerate_subgroup(gens, depth) if gens else {EMPTY}
-    orbit = [apply(word_to_element(w, sd), BASE_POINT) for w in sorted(
-        words, key=lambda w: (len(w), w.to_string())
-    )]
-    reach = ray_length
-    if reach is None:
-        reach = max((hyp_dist(BASE_POINT, p) for p in orbit), default=0.0)
-    if reach == 0.0:
-        reach = 1.0
-    worst = 0.0
-    for k in range(samples + 1):
-        t = reach * k / samples
-        q = point_along_ray(ray, t)
-        worst = max(worst, min(hyp_dist(q, p) for p in orbit))
-    return worst
+    return RadialWitness(eta, c, per_n)
 
 
 def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:

@@ -156,20 +156,28 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement.of(g.m22, -g.m12, -g.m21, g.m11)
 
 
-def apply(g: GroupElement, p: Point) -> Point:
-    """Extended Mobius action z -> (m11 z + m12)/(m21 z + m22)."""
+def apply(g, p: Point) -> Point:
+    """Extended Mobius action z -> (a z + b)/(c z + d).
+
+    g is a GroupElement or an entry tuple (a, b, c, d) with any positive
+    determinant, such as the matrices of _standard_position; only the latter
+    scale the image height by the determinant.
+    """
+    a, b, c, d = g.entries() if isinstance(g, GroupElement) else g
     if isinstance(p, Infinity):
-        if g.m21 == 0:
+        if c == 0:
             return INFINITY
-        return Boundary(g.m11 / g.m21)
+        return Boundary(a / c)
     if isinstance(p, Boundary):
-        den = g.m21 * p.x + g.m22
+        den = c * p.x + d
         if den == 0:
             return INFINITY
-        return Boundary((g.m11 * p.x + g.m12) / den)
+        return Boundary((a * p.x + b) / den)
     x, y = p.x, p.y
-    den = (g.m21 * x + g.m22) ** 2 + (g.m21 * y) ** 2
-    nx = (g.m11 * x + g.m12) * (g.m21 * x + g.m22) + g.m11 * g.m21 * y * y
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    nx = (a * x + b) * (c * x + d) + a * c * y * y
+    if not isinstance(g, GroupElement):
+        y = (a * d - b * c) * y
     return Interior(nx / den, y / den)
 
 
@@ -247,31 +255,6 @@ def hyp_dist(p: Point, q: Point) -> float:
     return 2.0 * math.asinh(math.sqrt(float(s2)))
 
 
-def _raw_apply(m, p: Point) -> Point:
-    """Mobius action of a matrix with any positive determinant (not rescaled)."""
-    a, b, c, d = m
-    det = a * d - b * c
-    if isinstance(p, Infinity):
-        if c == 0:
-            return INFINITY
-        return Boundary(a / c)
-    if isinstance(p, Boundary):
-        den = c * p.x + d
-        if den == 0:
-            return INFINITY
-        return Boundary((a * p.x + b) / den)
-    x, y = p.x, p.y
-    den = (c * x + d) ** 2 + (c * y) ** 2
-    nx = (a * x + b) * (c * x + d) + a * c * y * y
-    return Interior(nx / den, det * y / den)
-
-
-def _raw_inverse(m):
-    """Inverse up to positive scale; same Mobius action as the true inverse."""
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
 def _standard_position(ray: GeodesicRay):
     """Matrix (positive determinant, same number type as the ray data) whose
     Mobius action sends the ray's geodesic to the imaginary axis.
@@ -307,8 +290,8 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
     if not isinstance(p, Interior):
         raise BoundaryPoint("dist_to_ray needs an interior point")
     g = _standard_position(ray)
-    q = _raw_apply(g, p)
-    base = _raw_apply(g, ray.base)
+    q = apply(g, p)
+    base = apply(g, ray.base)
     # foot of the perpendicular from q onto the axis is at height |q|
     if q.x * q.x + q.y * q.y >= base.y * base.y:
         return math.asinh(abs(float(q.x / q.y)))
@@ -318,6 +301,8 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
 def point_along_ray(ray: GeodesicRay, t: float) -> Interior:
     """The point at hyperbolic distance t from the base along the ray."""
     g = _standard_position(ray)
-    base = _raw_apply(g, ray.base)
+    base = apply(g, ray.base)
     q = Interior(0.0, float(base.y) * math.exp(t))
-    return _raw_apply(_raw_inverse(g), q)
+    a, b, c, d = g
+    # the adjugate inverts g up to a positive scale, which the action ignores
+    return apply((d, -b, -c, a), q)

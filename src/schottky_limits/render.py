@@ -1,7 +1,8 @@
 """SVG figure of the construction on the Poincare disk.
 
-Computation lives in the half-plane; this module conformally maps everything
-through the Cayley transform w = (z - i)/(z + i) for a bounded canvas.
+The geometry is computed in the half-plane by the caller; this module only
+maps what it is given through the Cayley transform w = (z - i)/(z + i) onto
+a bounded canvas.
 Schottky circles carry class "schottky", theta orbit markers class "orbit",
 nested disks class "nested".
 """
@@ -9,19 +10,18 @@ nested disks class "nested".
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
-from .freewords import WordFamily, theta
 from .mobius import (
     BASE_POINT,
     Boundary,
     GeodesicRay,
     Infinity,
     Interior,
-    apply,
     point_along_ray,
 )
-from .schottky import Circle, SchottkyData, nested_disk, word_to_element
+from .schottky import SchottkyData
 
 SIZE = 600.0
 MARGIN = 20.0
@@ -42,13 +42,13 @@ def to_canvas(w: complex) -> Tuple[float, float]:
     return (CENTER + SCALE * w.real, CENTER - SCALE * w.imag)
 
 
-def disk_circle(c: Circle) -> Tuple[float, float, float]:
-    """Image of a boundary-orthogonal half-plane circle: a disk circle through
-    the Cayley images of its two footprint endpoints and its top point."""
-    lo, hi = c.interval()
+def disk_circle(lo: Fraction, hi: Fraction) -> Tuple[float, float, float]:
+    """Image of the boundary-orthogonal half-plane circle with footprint
+    [lo, hi]: a disk circle through the Cayley images of the two footprint
+    endpoints and the top point."""
     p1 = cayley(Boundary(lo))
     p2 = cayley(Boundary(hi))
-    p3 = cayley(Interior(c.center, c.radius))
+    p3 = cayley(Interior((lo + hi) / 2, (hi - lo) / 2))
     if abs(p1 - p2) < 1e-9:
         # disk below float resolution on the canvas: draw a point circle
         return p3.real, p3.imag, 0.0
@@ -76,14 +76,24 @@ def _fmt(v: float) -> str:
     return format(v, ".3f")
 
 
+def _circle(cls: str, footprint: Tuple[Fraction, Fraction], stroke: str, width: str) -> str:
+    ux, uy, r = disk_circle(*footprint)
+    x, y = to_canvas(complex(ux, uy))
+    return (
+        f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" '
+        f'r="{_fmt(SCALE * r)}" fill="none" stroke="{stroke}" '
+        f'stroke-width="{width}"/>'
+    )
+
+
 def render_svg(
     sd: SchottkyData,
-    fam: WordFamily,
-    eta: Optional[Boundary],
-    n_max: int,
+    brackets: Sequence[Tuple[Fraction, Fraction]],
+    orbit: Sequence[Interior],
+    eta: Boundary,
 ) -> str:
-    """SVG 1.1 document with the four Schottky circles, n_max theta orbit
-    markers, the ray toward eta, and the nested disks of the theta prefixes."""
+    """SVG 1.1 document with the nested disks of the given footprints, the
+    four Schottky circles, the ray toward eta, and the given orbit markers."""
     parts: List[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -100,39 +110,18 @@ def render_svg(
         f'a {_fmt(SCALE)} {_fmt(SCALE)} 0 1 0 {_fmt(-2 * SCALE)} 0 Z" '
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
+    parts += [_circle("nested", b, "#bbbbbb", "0.6") for b in brackets]
+    parts += [_circle("schottky", c.interval(), "#1f77b4", "1.2") for c in sd.circles()]
 
-    for n in range(1, n_max + 1):
-        ux, uy, r = disk_circle(nested_disk(theta(n, fam), sd))
-        x, y = to_canvas(complex(ux, uy))
-        parts.append(
-            f'<circle class="nested" cx="{_fmt(x)}" cy="{_fmt(y)}" '
-            f'r="{_fmt(SCALE * r)}" fill="none" stroke="#bbbbbb" '
-            'stroke-width="0.6"/>'
-        )
+    ray = GeodesicRay(BASE_POINT, eta)
+    pts = [to_canvas(cayley(point_along_ray(ray, 12.0 * k / 128))) for k in range(129)]
+    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+    parts.append(
+        f'<path class="ray" d="{d}" fill="none" stroke="#d62728" '
+        'stroke-width="1.0"/>'
+    )
 
-    for c in sd.circles():
-        ux, uy, r = disk_circle(c)
-        x, y = to_canvas(complex(ux, uy))
-        parts.append(
-            f'<circle class="schottky" cx="{_fmt(x)}" cy="{_fmt(y)}" '
-            f'r="{_fmt(SCALE * r)}" fill="none" stroke="#1f77b4" '
-            'stroke-width="1.2"/>'
-        )
-
-    if eta is not None:
-        ray = GeodesicRay(BASE_POINT, eta)
-        pts = []
-        for k in range(129):
-            t = 12.0 * k / 128
-            pts.append(to_canvas(cayley(point_along_ray(ray, t))))
-        d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
-        parts.append(
-            f'<path class="ray" d="{d}" fill="none" stroke="#d62728" '
-            'stroke-width="1.0"/>'
-        )
-
-    for n in range(1, n_max + 1):
-        p = apply(word_to_element(theta(n, fam), sd), BASE_POINT)
+    for p in orbit:
         x, y = to_canvas(cayley(p))
         parts.append(
             f'<circle class="orbit" cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" '

@@ -13,6 +13,7 @@ from .freewords import Word, WordFamily, verify_free_generation
 from .limits import (
     estimate_limit_point,
     intersect_subgroups,
+    limit_point_brackets,
     qi_check,
     radial_check,
     theta_subgroups,
@@ -39,9 +40,8 @@ def radial_fragment(sd: SchottkyData, n_max: int, tol: float) -> dict:
 
     Raises ToleranceNotReached when no bracket up to n_max is narrower than tol.
     """
-    fam = WordFamily(max_index=n_max)
-    eta = estimate_limit_point(fam, sd, n_max, tol)
-    witness = radial_check(eta, fam, sd, n_max)
+    eta = estimate_limit_point(limit_point_brackets(sd, n_max), tol)
+    witness = radial_check(eta, sd, n_max)
     return {
         "eta": fmt_float(float(eta.x)),
         "constant_c": fmt_float(witness.constant_c),

@@ -155,21 +155,21 @@ def test_criterion_05_intersection_triviality(sd):
     )
 
 
-def test_criterion_06_shared_radial_limit_point(sd, fam12):
-    eta = estimate_limit_point(fam12, sd, 12, 1e-10)
-    brackets = limit_point_brackets(fam12, sd, 12)
+def test_criterion_06_shared_radial_limit_point(sd):
+    eta = estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
+    brackets = limit_point_brackets(sd, 12)
     assert min(float(hi - lo) for lo, hi in brackets) < 1e-10
     assert all(lo <= eta.x <= hi for lo, hi in brackets)
 
-    witness = radial_check(eta, fam12, sd, 12)
+    witness = radial_check(eta, sd, 12)
     assert len(witness.per_n) == 12
     assert all(math.isfinite(d) for _, d in witness.per_n)
     tail_max = max(d for _, d in witness.per_n[-3:])
     assert tail_max <= witness.constant_c
     assert witness.bounded_trend
 
-    eta2 = estimate_limit_point(fam12, sd, 12, 1e-11)
-    witness2 = radial_check(eta2, fam12, sd, 12)
+    eta2 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-11)
+    witness2 = radial_check(eta2, sd, 12)
     assert abs(witness.constant_c - witness2.constant_c) < 1e-6
     report(
         f"criterion 6 PASS: eta = {float(eta.x):.12g} bracketed below 1e-10, "
@@ -269,8 +269,8 @@ def test_criterion_10_deterministic_report(tmp_path):
 def test_radial_distances_against_high_precision_oracle(sd, fam12):
     # supporting evidence for criterion 6: every reported distance n = 1..12
     # agrees with the high-precision sampling oracle
-    eta = estimate_limit_point(fam12, sd, 12, 1e-10)
-    witness = radial_check(eta, fam12, sd, 12)
+    eta = estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
+    witness = radial_check(eta, sd, 12)
     for n, d in witness.per_n:
         from schottky_limits.schottky import word_to_element
 

@@ -42,6 +42,17 @@ class TestCertify:
         assert result.exit_code == 1
         assert json.loads(result.output)["name"] == "disks-not-disjoint"
 
+    @pytest.mark.parametrize("command", ["construct", "intersect", "render"])
+    def test_uncertified_input_refused(self, runner, tmp_path, command):
+        doc = default_generators().to_json_dict()
+        doc["circles"]["C_b"] = doc["circles"]["C_a"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--input", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "violation: disks-not-disjoint: " in result.stderr
+
     def test_malformed_json_exit_2(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -132,6 +143,13 @@ class TestRender:
         assert "<svg" in svg and "</svg>" in svg
         assert svg.count('class="schottky"') == 4
         assert svg.count('class="orbit"') == 8
+
+    def test_tolerance_not_reached(self, runner):
+        result = runner.invoke(main, ["render", "--tol", "1e-300"])
+        assert result.exit_code == 1
+        doc = json.loads(result.stdout)
+        assert doc["status"] == "tolerance-not-reached"
+        assert "after 12 prefixes" in doc["detail"]
 
     def test_rejects_json_format(self, runner):
         result = runner.invoke(main, ["render", "--format", "json"])

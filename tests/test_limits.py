@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from schottky_limits.freewords import EMPTY, Word, WordFamily, theta
+from schottky_limits.freewords import EMPTY, Word, theta
 from schottky_limits.limits import (
     ToleranceNotReached,
     count_orbit_in_ball,
@@ -16,7 +16,6 @@ from schottky_limits.limits import (
     orbit_samples,
     qi_check,
     radial_check,
-    uniform_radial_check,
 )
 from schottky_limits.mobius import (
     BASE_POINT,
@@ -31,8 +30,8 @@ from schottky_limits.schottky import word_to_element
 
 
 @pytest.fixture(scope="module")
-def eta(sd, fam12):
-    return estimate_limit_point(fam12, sd, 12, 1e-10)
+def eta(sd):
+    return estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
 
 
 class TestOrbitSamples:
@@ -101,14 +100,14 @@ class TestCountOrbitInBall:
 
 
 class TestLimitPoint:
-    def test_brackets_nested_and_shrinking(self, sd, fam12):
-        brackets = limit_point_brackets(fam12, sd, 10)
+    def test_brackets_nested_and_shrinking(self, sd):
+        brackets = limit_point_brackets(sd, 10)
         for (lo1, hi1), (lo2, hi2) in zip(brackets, brackets[1:]):
             assert lo1 <= lo2 and hi2 <= hi1
             assert hi2 - lo2 < hi1 - lo1
 
-    def test_eta_in_every_bracket(self, sd, fam12, eta):
-        for lo, hi in limit_point_brackets(fam12, sd, 12):
+    def test_eta_in_every_bracket(self, sd, eta):
+        for lo, hi in limit_point_brackets(sd, 12):
             assert lo <= eta.x <= hi
 
     def test_eta_near_attracting_fixed_point(self, sd, fam12, eta):
@@ -118,68 +117,43 @@ class TestLimitPoint:
         fp = attracting_fixed_point(g)
         assert float(fp.x) == pytest.approx(float(eta.x), abs=2e-10)
 
-    def test_stability_under_tighter_tol(self, sd, fam12):
-        e1 = estimate_limit_point(fam12, sd, 12, 1e-10)
-        e2 = estimate_limit_point(fam12, sd, 12, 1e-11)
-        lo, hi = limit_point_brackets(fam12, sd, 12)[-1]
+    def test_stability_under_tighter_tol(self, sd):
+        e1 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
+        e2 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-11)
+        lo, hi = limit_point_brackets(sd, 12)[-1]
         assert abs(float(e1.x - e2.x)) <= float(hi - lo)
 
     def test_tolerance_not_reached(self, sd):
-        fam = WordFamily(max_index=2)
         with pytest.raises(ToleranceNotReached) as exc:
-            estimate_limit_point(fam, sd, 1, 1e-30)
+            estimate_limit_point(limit_point_brackets(sd, 1), 1e-30)
         assert exc.value.achieved_width > 0
 
 
 class TestRadialCheck:
-    def test_distances_bounded(self, sd, fam12, eta):
-        witness = radial_check(eta, fam12, sd, 12)
+    def test_distances_bounded(self, sd, eta):
+        witness = radial_check(eta, sd, 12)
         assert witness.constant_c == max(d for _, d in witness.per_n)
         assert all(math.isfinite(d) for _, d in witness.per_n)
         assert witness.bounded_trend
 
-    def test_stable_under_tighter_eta(self, sd, fam12, eta):
-        eta2 = estimate_limit_point(fam12, sd, 12, 1e-11)
-        w1 = radial_check(eta, fam12, sd, 12)
-        w2 = radial_check(eta2, fam12, sd, 12)
+    def test_stable_under_tighter_eta(self, sd, eta):
+        eta2 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-11)
+        w1 = radial_check(eta, sd, 12)
+        w2 = radial_check(eta2, sd, 12)
         assert abs(w1.constant_c - w2.constant_c) < 1e-6
 
     def test_against_sampling_oracle(self, sd, fam12, eta):
         from oracles import mp_dist_to_ray_from_i
 
-        witness = radial_check(eta, fam12, sd, 12)
+        witness = radial_check(eta, sd, 12)
         for n, d in witness.per_n:
             p = apply(word_to_element(theta(n, fam12), sd), BASE_POINT)
             oracle = mp_dist_to_ray_from_i((p.x, p.y), eta.x)
             assert d == pytest.approx(oracle, abs=1e-6)
 
-    def test_rejects_interior_eta(self, sd, fam12):
+    def test_rejects_interior_eta(self, sd):
         with pytest.raises(ValueError):
-            radial_check(BASE_POINT, fam12, sd, 4)
-
-
-class TestUniformRadial:
-    def test_axis_of_a_is_uniformly_radial(self, sd):
-        # ray toward gen_a's attracting fixed point, orbit of <a>
-        value = uniform_radial_check(
-            Boundary(Fraction(1)), [Word.from_string("a")], sd, 8
-        )
-        assert math.isfinite(value)
-        assert value < 2.5
-
-    def test_nonincreasing_in_depth(self, sd):
-        vals = [
-            uniform_radial_check(
-                Boundary(Fraction(1)), [Word.from_string("a")], sd, depth,
-                samples=60, ray_length=8.0,
-            )
-            for depth in (2, 4, 6)
-        ]
-        assert vals[0] >= vals[1] >= vals[2]
-
-    def test_empty_generators_measure_base_distance(self, sd):
-        value = uniform_radial_check(Boundary(Fraction(1)), [], sd, 4, samples=50)
-        assert value == pytest.approx(1.0, abs=1e-9)
+            radial_check(BASE_POINT, sd, 4)
 
 
 class TestSubgroups:

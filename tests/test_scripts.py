@@ -1,0 +1,52 @@
+"""The command-line scripts run end to end, and the declared dependencies
+cover every third-party import."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_radial_profile():
+    result = run_script("radial_profile.py", "8")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "constant c = 3.584290, bounded trend: True"
+
+
+def test_orbit_growth():
+    result = run_script("orbit_growth.py", "4")
+    assert result.returncode == 0, result.stderr
+
+
+def test_dependencies_cover_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+        for req in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    local = {"schottky_limits", "conftest", "oracles"}
+    local |= {p.stem for p in (ROOT / "tests").glob("test_*.py")}
+    imported = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party <= declared, third_party - declared
