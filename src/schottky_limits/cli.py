@@ -16,8 +16,9 @@ Custom generators are supplied as a SchottkyData JSON document:
       }
     }
 
-Matrix entries and circle data are rational strings "p/q"; matrices must
-normalize to determinant 1. construct, intersect and render refuse an input
+Matrix entries and circle data are rational strings "p/q" of at most 200
+characters, without exponent notation; matrices must normalize to
+determinant 1. construct, intersect and render refuse an input
 whose ping-pong certificate fails, with exit 1 and the violation on stderr.
 """
 

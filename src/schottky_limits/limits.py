@@ -154,8 +154,17 @@ def limit_point_brackets(
 
 
 def theta_orbit(sd: SchottkyData, n_max: int) -> List[Interior]:
-    """The orbit points theta_1(i)..theta_n_max(i)."""
-    return [apply(word_to_element(w, sd), BASE_POINT) for w in _thetas(n_max)]
+    """The orbit points theta_1(i)..theta_n_max(i).
+
+    Each product multiplies in only the letters theta_n adds to theta_{n-1}.
+    """
+    points: List[Interior] = []
+    g, done = GroupElement.identity(), 0
+    for w in _thetas(n_max):
+        g = g * word_to_element(Word(w.letters[done:]), sd)
+        done = len(w)
+        points.append(apply(g, BASE_POINT))
+    return points
 
 
 def estimate_limit_point(

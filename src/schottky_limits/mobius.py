@@ -1,9 +1,13 @@
 """Exact 2x2 rational-matrix isometries of the upper half-plane, plus metric geometry.
 
-Group elements are unit-determinant matrices with Fraction entries, stored in
-a canonical sign so that data equality decides equality in PSL(2,R). Metric
-quantities (distances, ray projections) are computed in floats; everything
-algebraic stays exact.
+PSL(2,R) acts projectively, so a group element is stored as a primitive
+integer matrix (a, b, c, d): divided by the gcd of its entries, with its
+first nonzero entry positive, together with s = sqrt(ad - bc). This form is
+canonical, so data equality decides equality in PSL(2,R), and its det-1
+entries are the Fractions a/s, b/s, c/s, d/s. Products, inverses, the action
+on exact points and exact distances run on integer numerators; metric
+quantities (distances, ray projections) are computed in floats from exact
+rationals, and everything algebraic stays exact.
 """
 
 from __future__ import annotations
@@ -92,46 +96,62 @@ class IsometryClass:
 
 @dataclass(frozen=True)
 class GroupElement:
-    m11: Fraction
-    m12: Fraction
-    m21: Fraction
-    m22: Fraction
+    a: int
+    b: int
+    c: int
+    d: int
+    s: int  # sqrt(ad - bc) > 0
 
     @classmethod
     def of(cls, m11, m12, m21, m22) -> "GroupElement":
-        """Build from rational entries, rescaling to det 1 and canonical sign.
+        """Build from rational entries of any positive square determinant.
 
-        Entries with determinant d are divided by the exact square root of d;
-        inputs whose determinant is not a positive rational square are rejected.
+        Entries are cleared of denominators and reduced to the primitive
+        integer matrix; inputs whose determinant is not a positive rational
+        square are rejected.
         """
         e = [Fraction(v) for v in (m11, m12, m21, m22)]
-        det = e[0] * e[3] - e[1] * e[2]
+        den = math.lcm(*(v.denominator for v in e))
+        a, b, c, d = (v.numerator * (den // v.denominator) for v in e)
+        det = a * d - b * c
         if det <= 0:
-            raise NonUnitDeterminant(f"determinant {det} is not positive")
-        if det != 1:
-            s = _rational_sqrt(det)
-            if s is None:
-                raise NonUnitDeterminant(f"determinant {det} has no rational square root")
-            e = [v / s for v in e]
-        for v in e:
-            if v != 0:
-                if v < 0:
-                    e = [-u for u in e]
-                break
-        return cls(*e)
+            raise NonUnitDeterminant(f"determinant {Fraction(det, den * den)} is not positive")
+        s = math.isqrt(det)
+        if s * s != det:
+            raise NonUnitDeterminant(
+                f"determinant {Fraction(det, den * den)} has no rational square root"
+            )
+        return _primitive(a, b, c, d, s)
 
     @classmethod
     def identity(cls) -> "GroupElement":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        return cls(1, 0, 0, 1, 1)
 
     def is_identity(self) -> bool:
         return self == GroupElement.identity()
 
+    @property
+    def m11(self) -> Fraction:
+        return Fraction(self.a, self.s)
+
+    @property
+    def m12(self) -> Fraction:
+        return Fraction(self.b, self.s)
+
+    @property
+    def m21(self) -> Fraction:
+        return Fraction(self.c, self.s)
+
+    @property
+    def m22(self) -> Fraction:
+        return Fraction(self.d, self.s)
+
     def entries(self):
+        """The det-1 representative as Fractions."""
         return (self.m11, self.m12, self.m21, self.m22)
 
     def trace(self) -> Fraction:
-        return self.m11 + self.m22
+        return Fraction(self.a + self.d, self.s)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return compose(self, other)
@@ -143,17 +163,28 @@ class GroupElement:
         return apply(self, p)
 
 
+def _primitive(a: int, b: int, c: int, d: int, scale: int) -> GroupElement:
+    """The canonical element of an integer matrix of determinant scale**2:
+    divided by its content, first nonzero entry positive."""
+    k = math.gcd(a, b, c, d)
+    # det > 0, so a == 0 forces b != 0: the first nonzero entry is a or b
+    if a < 0 or (a == 0 and b < 0):
+        k = -k
+    return GroupElement(a // k, b // k, c // k, d // k, scale // abs(k))
+
+
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    return GroupElement.of(
-        g.m11 * h.m11 + g.m12 * h.m21,
-        g.m11 * h.m12 + g.m12 * h.m22,
-        g.m21 * h.m11 + g.m22 * h.m21,
-        g.m21 * h.m12 + g.m22 * h.m22,
+    return _primitive(
+        g.a * h.a + g.b * h.c,
+        g.a * h.b + g.b * h.d,
+        g.c * h.a + g.d * h.c,
+        g.c * h.b + g.d * h.d,
+        g.s * h.s,
     )
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement.of(g.m22, -g.m12, -g.m21, g.m11)
+    return _primitive(g.d, -g.b, -g.c, g.a, g.s)
 
 
 def apply(g, p: Point) -> Point:
@@ -161,9 +192,15 @@ def apply(g, p: Point) -> Point:
 
     g is a GroupElement or an entry tuple (a, b, c, d) with any positive
     determinant, such as the matrices of _standard_position; only the latter
-    scale the image height by the determinant.
+    scale the image height by the determinant. A GroupElement moves an
+    interior point with Fraction coordinates on integer numerators.
     """
-    a, b, c, d = g.entries() if isinstance(g, GroupElement) else g
+    if isinstance(g, GroupElement):
+        if isinstance(p, Interior) and type(p.x) is type(p.y) is Fraction:
+            return _apply_exact(g, p)
+        a, b, c, d = g.entries()
+    else:
+        a, b, c, d = g
     if isinstance(p, Infinity):
         if c == 0:
             return INFINITY
@@ -179,6 +216,21 @@ def apply(g, p: Point) -> Point:
     if not isinstance(g, GroupElement):
         y = (a * d - b * c) * y
     return Interior(nx / den, y / den)
+
+
+def _apply_exact(g: GroupElement, p: Interior) -> Interior:
+    """g(x + iy) for x = xn/xd, y = yn/yd: with u = c x + d and v = a x + b,
+    the image is (u v + a c y^2, s^2 y) / (u^2 + c^2 y^2) in the integer
+    entries; scaling by (xd yd)^2 leaves one integer ratio per coordinate."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    xn, xd = p.x.numerator, p.x.denominator
+    yn, yd = p.y.numerator, p.y.denominator
+    u = (c * xn + d * xd) * yd  # u xd yd
+    w = c * xd * yn  # c y xd yd
+    den = u * u + w * w
+    nx = u * (a * xn + b * xd) * yd + w * a * xd * yn
+    ny = g.s * g.s * xd * xd * yn * yd
+    return Interior(Fraction(nx, den), Fraction(ny, den))
 
 
 def classify(g: GroupElement) -> str:
@@ -249,10 +301,19 @@ def hyp_dist(p: Point, q: Point) -> float:
     """Hyperbolic distance, via 2*asinh of the half chordal ratio (stable near 0)."""
     if not isinstance(p, Interior) or not isinstance(q, Interior):
         raise BoundaryPoint("hyp_dist needs interior points")
-    dx = p.x - q.x
-    dy = p.y - q.y
-    s2 = (dx * dx + dy * dy) / (4 * p.y * q.y)
-    return 2.0 * math.asinh(math.sqrt(float(s2)))
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    if type(px) is type(py) is type(qx) is type(qy) is Fraction:
+        # sinh^2(d/2) as one integer ratio; int true division rounds
+        # correctly, as float(Fraction) does
+        xd, yd = px.denominator * qx.denominator, py.denominator * qy.denominator
+        dx = (px.numerator * qx.denominator - qx.numerator * px.denominator) * yd
+        dy = (py.numerator * qy.denominator - qy.numerator * py.denominator) * xd
+        s2 = (dx * dx + dy * dy) / (4 * py.numerator * qy.numerator * yd * xd * xd)
+    else:
+        dx = px - qx
+        dy = py - qy
+        s2 = float((dx * dx + dy * dy) / (4 * py * qy))
+    return 2.0 * math.asinh(math.sqrt(s2))
 
 
 def _standard_position(ray: GeodesicRay):

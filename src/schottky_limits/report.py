@@ -181,6 +181,11 @@ REPORT_SCHEMA = {
     },
 }
 
+# An input rational is a short string without exponent notation: "1e999999999"
+# would make Fraction build a huge integer before any check, and violation
+# details print exact rationals, which str() refuses beyond 4300 digits.
+RATIONAL_SCHEMA = {"type": "string", "maxLength": 200, "pattern": "^[^eE]*$"}
+
 SCHOTTKY_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "SchottkyData",
@@ -189,13 +194,13 @@ SCHOTTKY_SCHEMA = {
     "properties": {
         "gen_a": {
             "type": "array",
-            "items": {"type": "string"},
+            "items": RATIONAL_SCHEMA,
             "minItems": 4,
             "maxItems": 4,
         },
         "gen_b": {
             "type": "array",
-            "items": {"type": "string"},
+            "items": RATIONAL_SCHEMA,
             "minItems": 4,
             "maxItems": 4,
         },
@@ -206,8 +211,8 @@ SCHOTTKY_SCHEMA = {
                 "type": "object",
                 "required": ["center", "radius"],
                 "properties": {
-                    "center": {"type": "string"},
-                    "radius": {"type": "string"},
+                    "center": RATIONAL_SCHEMA,
+                    "radius": RATIONAL_SCHEMA,
                 },
             },
         },

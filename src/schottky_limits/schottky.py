@@ -64,7 +64,7 @@ class Circle:
         return lo < olo and ohi < hi
 
 
-def image_circle(g: GroupElement, c: Circle, require_bounded: bool = False) -> Circle:
+def image_circle(g: GroupElement, circle: Circle, require_bounded: bool = False) -> Circle:
     """Exact Mobius image of a boundary-orthogonal circle, as a curve.
 
     The image circle's footprint endpoints are the images of the source
@@ -72,15 +72,20 @@ def image_circle(g: GroupElement, c: Circle, require_bounded: bool = False) -> C
     closed footprint, which makes the bounded side map onto the bounded
     side of the result; otherwise only the curve identity is meaningful.
     """
-    lo, hi = c.interval()
-    if g.m21 != 0:
-        pole = -g.m22 / g.m21
+    lo, hi = circle.interval()
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if c != 0:
+        pole = Fraction(-d, c)
         if pole == lo or pole == hi:
             raise UnboundedDiskImage(f"footprint endpoint maps to infinity")
         if require_bounded and lo < pole < hi:
             raise UnboundedDiskImage(f"pole {pole} inside footprint [{lo}, {hi}]")
-    ilo = (g.m11 * lo + g.m12) / (g.m21 * lo + g.m22)
-    ihi = (g.m11 * hi + g.m12) / (g.m21 * hi + g.m22)
+
+    def image(x: Fraction) -> Fraction:
+        n, m = x.numerator, x.denominator
+        return Fraction(a * n + b * m, c * n + d * m)
+
+    ilo, ihi = image(lo), image(hi)
     if ilo > ihi:
         ilo, ihi = ihi, ilo
     return Circle((ilo + ihi) / 2, (ihi - ilo) / 2)
@@ -134,13 +139,19 @@ class SchottkyData:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SchottkyData":
+        def rational(s):
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {s!r}") from None
+
         def mat(entries):
             if not (isinstance(entries, list) and len(entries) == 4):
                 raise ValueError("matrix must be a list of 4 rational strings")
-            return GroupElement.of(*[Fraction(s) for s in entries])
+            return GroupElement.of(*[rational(s) for s in entries])
 
         def circ(c):
-            return Circle(Fraction(c["center"]), Fraction(c["radius"]))
+            return Circle(rational(c["center"]), rational(c["radius"]))
 
         circles = d["circles"]
         return cls(
@@ -280,16 +291,14 @@ def word_to_element(w: Word, sd: SchottkyData) -> GroupElement:
 def nested_disk(w: Word, sd: SchottkyData) -> Circle:
     """The disk guaranteed to contain w(i) and every w w'(i) with w w' reduced.
 
-    For w = x_1 ... x_n this is (x_1 ... x_{n-1}) applied to the target disk
-    of x_n; computed letterwise so each image is a bounded disk by the
-    ping-pong disjointness.
+    For w = x_1 ... x_n this is the image of the target disk of x_n under
+    the product x_1 ... x_{n-1}, in one exact image. Each letter maps the
+    next disk into its own target disk by the ping-pong disjointness, so on
+    certified data the pole of the product lies outside the target disk.
     """
     if len(w) == 0:
         raise EmptyWord("nested_disk needs a nonempty word")
     if not w.is_reduced():
         raise NotReducedWord("nested_disk needs a reduced word")
-    letter, exponent = w.letters[-1]
-    disk = sd.target_disk(letter, exponent)
-    for letter, exponent in reversed(w.letters[:-1]):
-        disk = image_circle(sd.generator(letter, exponent), disk, require_bounded=True)
-    return disk
+    prefix = word_to_element(Word(w.letters[:-1]), sd)
+    return image_circle(prefix, sd.target_disk(*w.letters[-1]), require_bounded=True)

@@ -63,3 +63,44 @@ def mp_dist_to_ray_from_i(p, eta, dps=300, coarse=500):
             else:
                 lo = m1
         return float(f((lo + hi) / 2))
+
+
+# -- exact Fraction formulas for the integer arithmetic of the package ------
+#
+# Each works on det-1 Fraction entries (a, b, c, d) and Fraction coordinates,
+# following the textbook derivation rather than the package's integer code.
+
+
+def frac_mobius_boundary(m, x):
+    """(a x + b)/(c x + d) on the real line (x not the pole)."""
+    a, b, c, d = m
+    return (a * x + b) / (c * x + d)
+
+
+def frac_mobius_interior(m, x, y):
+    """(a z + b)/(c z + d) at z = x + iy, as complex division of the pairs
+    (a x + b, a y) / (c x + d, c y) by the conjugate of the denominator."""
+    a, b, c, d = m
+    nre, nim = a * x + b, a * y
+    dre, dim = c * x + d, c * y
+    norm = dre * dre + dim * dim
+    return (nre * dre + nim * dim) / norm, (nim * dre - nre * dim) / norm
+
+
+def frac_sinh2_half(p, q):
+    """sinh^2(d/2) = |p - q|^2 / (4 Im p Im q) for points given as (x, y)."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return (dx * dx + dy * dy) / (4 * p[1] * q[1])
+
+
+def frac_disk_chain(mats, lo, hi):
+    """Footprint of the image of the half-disk on [lo, hi] under
+    mats[0] mats[1] ... mats[-1], mapped one matrix at a time from the
+    innermost; each step requires the pole outside the closed footprint."""
+    for m in reversed(mats):
+        a, b, c, d = m
+        if c != 0:
+            pole = -d / c
+            assert not lo <= pole <= hi, "image is not a bounded disk"
+        lo, hi = sorted((frac_mobius_boundary(m, lo), frac_mobius_boundary(m, hi)))
+    return lo, hi

@@ -23,6 +23,7 @@ from schottky_limits.limits import (
     orbit_samples,
     qi_check,
     radial_check,
+    theta_orbit,
 )
 from schottky_limits.mobius import (
     BASE_POINT,
@@ -279,3 +280,26 @@ def test_radial_distances_against_high_precision_oracle(sd, fam12):
             mp_dist_to_ray_from_i((p.x, p.y), eta.x), abs=1e-6
         )
     report("radial distances n = 1..12 match the 300-digit sampling oracle")
+
+
+def test_deep_radial_witness(sd):
+    # supporting evidence for criterion 6 at depth 40, where the theta_n
+    # matrices carry thousands of bits: the CLI output is pinned to the values
+    # of the Fraction implementation, and depth 20 matches an oracle run at
+    # the precision of the orbit point's denominator
+    result = CliRunner().invoke(cli_main, ["construct", "--n-max", "40"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["eta"] == "7.40075154"
+    assert doc["constant_c"] == "3.58428965186"
+    assert [row["n"] for row in doc["per_n"]] == list(range(1, 41))
+    assert all(math.isfinite(float(row["distance"])) for row in doc["per_n"])
+    assert doc["radial_bounded_trend"] is True
+
+    n = 20
+    eta = estimate_limit_point(limit_point_brackets(sd, 40), 1e-10)
+    p = theta_orbit(sd, n)[-1]
+    dps = max(len(str(p.x.denominator)), len(str(p.y.denominator))) + 60
+    oracle = mp_dist_to_ray_from_i((p.x, p.y), eta.x, dps=dps)
+    assert float(doc["per_n"][n - 1]["distance"]) == pytest.approx(oracle, abs=1e-9)
+    report(f"depth 40 witness pinned; n = {n} matches the {dps}-digit sampling oracle")

@@ -1,9 +1,13 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schottky_limits.cli import main
 from schottky_limits.report import REPORT_SCHEMA, SCHOTTKY_SCHEMA
@@ -70,6 +74,87 @@ class TestCertify:
     def test_missing_file_exit_2(self, runner):
         result = runner.invoke(main, ["certify", "--input", "/nonexistent.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command", ["certify", "construct", "intersect", "report", "render"]
+    )
+    @pytest.mark.parametrize("field", ["gen_a", "center"])
+    def test_zero_denominator_exit_2(self, runner, tmp_path, command, field):
+        doc = default_generators().to_json_dict()
+        if field == "gen_a":
+            doc["gen_a"][1] = "1/0"
+        else:
+            doc["circles"]["C_a"]["center"] = "1/0"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--input", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "schema violation: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize("value", ["1" * 3000, "1e20000"])
+    def test_oversized_rational_exit_2(self, runner, tmp_path, value):
+        # violation details print exact rationals; str() refuses ints over 4300 digits
+        doc = default_generators().to_json_dict()
+        doc["circles"]["C_a"]["center"] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["certify", "--input", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("schema violation: ")
+
+
+RATIONAL_STRINGS = st.one_of(
+    st.sampled_from(["1/0", "-7/0", "0", "-3/4", "nan", "inf", "", "1/2/3", "x", "1e5"]),
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(0, 9)),
+    st.builds("{}/{}".format, st.integers(-10**99, 10**99), st.integers(1, 10**99)),
+    st.text("0123456789", min_size=100, max_size=5000),  # both sides of the length limit
+)
+WRONG_SHAPES = st.sampled_from([None, 7, "5/3", [], ["1", "0", "0"], {"center": "0"}])
+FIELDS = ("gen_a", "gen_b", "C_a", "C_a_prime", "C_b", "C_b_prime", "delete")
+
+
+@st.composite
+def schottky_documents(draw):
+    """The shipped document with one or two of its fields damaged: a matrix
+    entry or a circle's center or radius replaced by an odd rational string,
+    a whole matrix redrawn, a value of the wrong shape, or a key deleted."""
+    doc = default_generators().to_json_dict()
+    fields = draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=2, unique=True))
+    for field in sorted(fields, key=FIELDS.index):
+        if field == "delete":
+            del doc[draw(st.sampled_from(sorted(doc)))]
+            break
+        how = draw(st.sampled_from(["part", "part", "whole", "shape"]))
+        owner = doc if field.startswith("gen") else doc["circles"]
+        if how == "shape":
+            owner[field] = draw(WRONG_SHAPES)
+        elif field.startswith("gen"):
+            if how == "whole":
+                owner[field] = draw(st.lists(RATIONAL_STRINGS, min_size=4, max_size=4))
+            else:
+                owner[field][draw(st.integers(0, 3))] = draw(RATIONAL_STRINGS)
+        else:
+            for part in ("center", "radius") if how == "whole" else (
+                draw(st.sampled_from(["center", "radius"])),
+            ):
+                owner[field][part] = draw(RATIONAL_STRINGS)
+    return doc
+
+
+class TestInputFuzz:
+    @given(schottky_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_certify_exits_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            result = CliRunner().invoke(main, ["certify", "--input", str(path)])
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
 
 class TestFreeness:

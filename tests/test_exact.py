@@ -1,0 +1,120 @@
+"""The integer arithmetic of GroupElement, apply, hyp_dist and nested_disk
+gives exactly the rationals (and bit-identical floats) of the Fraction
+formulas in oracles.py."""
+
+import importlib.util
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from schottky_limits.freewords import reduce
+from schottky_limits.mobius import GroupElement, apply, hyp_dist
+from schottky_limits.schottky import SchottkyData, default_generators, nested_disk
+
+from conftest import interior_points, rationals, unit_det_matrices, words
+from oracles import frac_disk_chain, frac_mobius_interior, frac_sinh2_half
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def seeded_instance_doc(seed):
+    """SchottkyData JSON of a benchmark instance (perfbench/instances.py,
+    which uses only the standard library)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", ROOT / "perfbench" / "instances.py"
+    )
+    instances = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = instances  # its dataclasses resolve their module
+    spec.loader.exec_module(instances)
+    return instances.make_instance(seed).doc
+
+
+def shear_product(shears):
+    """A det-1 Fraction matrix as a product of elementary shears."""
+    m = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    for q, lower in shears:
+        h = (1, 0, q, 1) if lower else (1, q, 0, 1)
+        m = (
+            m[0] * h[0] + m[1] * h[2], m[0] * h[1] + m[1] * h[3],
+            m[2] * h[0] + m[3] * h[2], m[2] * h[1] + m[3] * h[3],
+        )
+    return m
+
+
+shears = st.lists(
+    st.tuples(rationals(max_num=5, max_den=4), st.booleans()), min_size=0, max_size=6
+)
+nonzero_rationals = rationals().filter(lambda q: q != 0)
+
+
+class TestGroupElement:
+    @given(shears, st.booleans())
+    def test_entries_return_det1_input(self, sh, negate):
+        m = shear_product(sh)
+        if negate:
+            m = tuple(-v for v in m)
+        first = next(v for v in m if v != 0)
+        expected = m if first > 0 else tuple(-v for v in m)
+        g = GroupElement.of(*m)
+        assert g.entries() == expected
+        assert g.trace() == expected[0] + expected[3]
+
+    def test_sign_with_zero_first_entry(self):
+        # z -> -1/z: the first nonzero entry is m12
+        g = GroupElement.of(0, 1, -1, 0)
+        assert GroupElement.of(0, -1, 1, 0) == g
+        assert g.entries() == (0, 1, -1, 0)
+
+    @given(unit_det_matrices(), nonzero_rationals)
+    def test_projective_scaling(self, g, k):
+        assert GroupElement.of(*(k * v for v in g.entries())) == g
+
+    @given(unit_det_matrices())
+    def test_primitive_form(self, g):
+        assert math.gcd(g.a, g.b, g.c, g.d) == 1
+        assert g.s > 0 and g.a * g.d - g.b * g.c == g.s * g.s
+        assert g.a > 0 or (g.a == 0 and g.b > 0)
+
+
+class TestExactAction:
+    @given(unit_det_matrices(), interior_points())
+    def test_apply_matches_fraction_formula(self, g, p):
+        q = apply(g, p)
+        assert (q.x, q.y) == frac_mobius_interior(g.entries(), p.x, p.y)
+        assert type(q.x) is Fraction and type(q.y) is Fraction
+
+    @given(unit_det_matrices(), interior_points(), interior_points())
+    def test_hyp_dist_bit_equal(self, g, p, q):
+        # g(q) carries the larger numerators of real orbit points
+        for r in (q, apply(g, q)):
+            s2 = frac_sinh2_half((p.x, p.y), (r.x, r.y))
+            assert hyp_dist(p, r) == 2 * math.asinh(math.sqrt(float(s2)))
+
+
+class TestNestedDisk:
+    @given(words(max_len=12))
+    @settings(max_examples=60, deadline=None)
+    def test_single_image_equals_letter_chain(self, w):
+        sd = default_generators()
+        w = reduce(w)
+        assume(len(w) > 0)
+        mats = [sd.generator(*let).entries() for let in w.letters[:-1]]
+        lo, hi = frac_disk_chain(mats, *sd.target_disk(*w.letters[-1]).interval())
+        assert nested_disk(w, sd).interval() == (lo, hi)
+
+
+class TestJsonRoundTrip:
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 7])
+    def test_bytes_round_trip(self, seed):
+        sd = default_generators() if seed is None else (
+            SchottkyData.from_json_dict(seeded_instance_doc(seed))
+        )
+        text = sd.to_json()
+        again = SchottkyData.from_json(text)
+        assert again == sd
+        assert again.to_json() == text
