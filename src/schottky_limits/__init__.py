@@ -27,7 +27,6 @@ from .mobius import (
     classify,
     compose,
     dist_to_ray,
-    fixed_points,
     hyp_dist,
     inverse,
 )

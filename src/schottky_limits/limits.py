@@ -24,7 +24,7 @@ from .mobius import (
     dist_to_ray,
     hyp_dist,
 )
-from .schottky import SchottkyData, nested_disk, word_to_element
+from .schottky import SchottkyData, image_circle, nested_disk, word_to_element
 
 
 class ToleranceNotReached(ValueError):
@@ -48,30 +48,22 @@ def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
     """All reduced words up to max_length with their exact elements, by DFS.
 
     Deterministic order: depth-first over letters sorted as a, A, b, B,
-    extending only reduced words; the identity sample comes first.
+    extending only reduced words; the identity sample comes first. An
+    explicit stack hands each sample out once.
     """
     o = BASE_POINT
     letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
     gens = {let: sd.generator(*let) for let in letters}
-
-    def sample(word_letters, g):
-        w = Word(tuple(word_letters))
+    stack = [((), GroupElement.identity())]
+    while stack:
+        word, g = stack.pop()
         p = apply(g, o)
-        return OrbitSample(w, g, p, hyp_dist(o, p))
-
-    yield sample([], GroupElement.identity())
-
-    def walk(word_letters, g):
-        for let in letters:
-            if word_letters and word_letters[-1] == (let[0], -let[1]):
-                continue
-            nl = word_letters + [let]
-            ng = g * gens[let]
-            yield sample(nl, ng)
-            if len(nl) < max_length:
-                yield from walk(nl, ng)
-
-    yield from walk([], GroupElement.identity())
+        yield OrbitSample(Word(word), g, p, hyp_dist(o, p))
+        if len(word) < max_length:
+            for let in reversed(letters):
+                if word and word[-1] == (let[0], -let[1]):
+                    continue
+                stack.append((word + (let,), g * gens[let]))
 
 
 @dataclass(frozen=True)
@@ -141,6 +133,19 @@ def _thetas(n_max: int) -> Iterator[Word]:
     return (theta(n, fam) for n in range(1, n_max + 1))
 
 
+def _theta_steps(
+    sd: SchottkyData, n_max: int
+) -> Iterator[Tuple[GroupElement, Word, GroupElement]]:
+    """(theta_{n-1}, d_n, theta_n) for n = 1..n_max: the word d_n that theta_n
+    adds to theta_{n-1}, between the two products of one prefix walk."""
+    prev, done = GroupElement.identity(), 0
+    for w in _thetas(n_max):
+        d = Word(w.letters[done:])
+        cur = prev * word_to_element(d, sd)
+        yield prev, d, cur
+        prev, done = cur, len(w)
+
+
 def limit_point_brackets(
     sd: SchottkyData, n_max: int
 ) -> List[Tuple[Fraction, Fraction]]:
@@ -148,23 +153,18 @@ def limit_point_brackets(
     theta_1..theta_n_max.
 
     theta_n is a prefix of theta_{n+1}, so the disks nest and the footprints
-    bracket the limit point.
+    bracket the limit point. theta_n = theta_{n-1} d_n is reduced, so its
+    disk is the image of the disk of d_n under theta_{n-1}.
     """
-    return [nested_disk(w, sd).interval() for w in _thetas(n_max)]
+    return [
+        image_circle(prev, nested_disk(d, sd), require_bounded=True).interval()
+        for prev, d, _ in _theta_steps(sd, n_max)
+    ]
 
 
 def theta_orbit(sd: SchottkyData, n_max: int) -> List[Interior]:
-    """The orbit points theta_1(i)..theta_n_max(i).
-
-    Each product multiplies in only the letters theta_n adds to theta_{n-1}.
-    """
-    points: List[Interior] = []
-    g, done = GroupElement.identity(), 0
-    for w in _thetas(n_max):
-        g = g * word_to_element(Word(w.letters[done:]), sd)
-        done = len(w)
-        points.append(apply(g, BASE_POINT))
-    return points
+    """The orbit points theta_1(i)..theta_n_max(i)."""
+    return [apply(cur, BASE_POINT) for _, _, cur in _theta_steps(sd, n_max)]
 
 
 def estimate_limit_point(

@@ -4,10 +4,14 @@ PSL(2,R) acts projectively, so a group element is stored as a primitive
 integer matrix (a, b, c, d): divided by the gcd of its entries, with its
 first nonzero entry positive, together with s = sqrt(ad - bc). This form is
 canonical, so data equality decides equality in PSL(2,R), and its det-1
-entries are the Fractions a/s, b/s, c/s, d/s. Products, inverses, the action
-on exact points and exact distances run on integer numerators; metric
-quantities (distances, ray projections) are computed in floats from exact
-rationals, and everything algebraic stays exact.
+entries are the Fractions a/s, b/s, c/s, d/s. Products, inverses and the
+action on exact points run on integer numerators, and everything algebraic
+stays exact. Distances on exact points use the closed forms of the
+half-plane metric (Beardon, The Geometry of Discrete Groups, ch. 7): the
+distance between two points and the distance to a geodesic ray are each one
+exact rational of integer numerators, rounded to a float once, before the
+final square root or asinh; whether the foot of the perpendicular lies on the
+ray is decided exactly. Points along a ray, for drawing, are floats.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Union
 
 
 class IdentityElement(ValueError):
@@ -28,17 +32,6 @@ class BoundaryPoint(ValueError):
 
 class NonUnitDeterminant(ValueError):
     """Raised when matrix entries cannot be rescaled to determinant 1."""
-
-
-def _rational_sqrt(q: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 @dataclass(frozen=True)
@@ -187,20 +180,14 @@ def inverse(g: GroupElement) -> GroupElement:
     return _primitive(g.d, -g.b, -g.c, g.a, g.s)
 
 
-def apply(g, p: Point) -> Point:
+def apply(g: GroupElement, p: Point) -> Point:
     """Extended Mobius action z -> (a z + b)/(c z + d).
 
-    g is a GroupElement or an entry tuple (a, b, c, d) with any positive
-    determinant, such as the matrices of _standard_position; only the latter
-    scale the image height by the determinant. A GroupElement moves an
-    interior point with Fraction coordinates on integer numerators.
+    An interior point with Fraction coordinates moves on integer numerators.
     """
-    if isinstance(g, GroupElement):
-        if isinstance(p, Interior) and type(p.x) is type(p.y) is Fraction:
-            return _apply_exact(g, p)
-        a, b, c, d = g.entries()
-    else:
-        a, b, c, d = g
+    if isinstance(p, Interior) and type(p.x) is type(p.y) is Fraction:
+        return _apply_exact(g, p)
+    a, b, c, d = g.entries()
     if isinstance(p, Infinity):
         if c == 0:
             return INFINITY
@@ -213,8 +200,6 @@ def apply(g, p: Point) -> Point:
     x, y = p.x, p.y
     den = (c * x + d) ** 2 + (c * y) ** 2
     nx = (a * x + b) * (c * x + d) + a * c * y * y
-    if not isinstance(g, GroupElement):
-        y = (a * d - b * c) * y
     return Interior(nx / den, y / den)
 
 
@@ -245,58 +230,6 @@ def classify(g: GroupElement) -> str:
     return IsometryClass.LOXODROMIC
 
 
-def fixed_points(g: GroupElement):
-    """Boundary fixed points: 2 for loxodromic, 1 for parabolic, 0 for elliptic.
-
-    Solutions of m21 z^2 + (m22 - m11) z - m12 = 0 on the extended real line.
-    Exact when the discriminant is a rational square, floats otherwise.
-    """
-    if g.is_identity():
-        raise IdentityElement("identity fixes everything")
-    if g.m21 == 0:
-        pts = [INFINITY]
-        if g.m11 != g.m22:
-            pts.append(Boundary(g.m12 / (g.m22 - g.m11)))
-        return set(pts)
-    disc = g.trace() ** 2 - 4
-    if disc < 0:
-        return set()
-    s = _rational_sqrt(disc)
-    a2 = 2 * g.m21
-    if s is not None:
-        r1 = (g.m11 - g.m22 + s) / a2
-        r2 = (g.m11 - g.m22 - s) / a2
-    else:
-        fs = math.sqrt(float(disc))
-        r1 = (float(g.m11 - g.m22) + fs) / float(a2)
-        r2 = (float(g.m11 - g.m22) - fs) / float(a2)
-    if disc == 0:
-        return {Boundary(r1)}
-    return {Boundary(r1), Boundary(r2)}
-
-
-def attracting_fixed_point(g: GroupElement) -> Point:
-    """The attracting boundary fixed point of a loxodromic element."""
-    if classify(g) != IsometryClass.LOXODROMIC:
-        raise ValueError("attracting fixed point requires a loxodromic element")
-    if g.m21 == 0:
-        if abs(g.m11) > abs(g.m22):
-            return INFINITY
-        return Boundary(g.m12 / (g.m22 - g.m11))
-    # fixed point from the dominant eigenvector (lam - m22)/m21; this stays
-    # stable for matrices with very large entries, unlike the derivative test
-    tr = g.trace()
-    disc = tr * tr - 4
-    s = _rational_sqrt(disc)
-    if s is not None:
-        lam = (tr + s) / 2 if tr > 0 else (tr - s) / 2
-        return Boundary((lam - g.m22) / g.m21)
-    fs = math.sqrt(float(disc))
-    ftr = float(tr)
-    lam = (ftr + fs) / 2 if ftr > 0 else (ftr - fs) / 2
-    return Boundary((lam - float(g.m22)) / float(g.m21))
-
-
 def hyp_dist(p: Point, q: Point) -> float:
     """Hyperbolic distance, via 2*asinh of the half chordal ratio (stable near 0)."""
     if not isinstance(p, Interior) or not isinstance(q, Interior):
@@ -316,54 +249,86 @@ def hyp_dist(p: Point, q: Point) -> float:
     return 2.0 * math.asinh(math.sqrt(s2))
 
 
-def _standard_position(ray: GeodesicRay):
-    """Matrix (positive determinant, same number type as the ray data) whose
-    Mobius action sends the ray's geodesic to the imaginary axis.
 
-    The ray endpoint goes to Infinity; the opposite endpoint of the full
-    geodesic goes to 0, so the image ray points straight up from the image
-    of the base. Exact when the ray data is rational.
-    """
-    bx, by = ray.base.x, ray.base.y
-    one = bx - bx + 1  # 1 in the ray's number type
-    if isinstance(ray.endpoint, Infinity):
-        return (one, -bx, 0 * one, one)
-    ex = ray.endpoint.x
-    if bx == ex:
-        # vertical ray pointing down: z -> -1/(z - ex) sends ex to Infinity
-        # and keeps the line vertical.
-        return (0 * one, -one, one, -ex)
-    c = (bx * bx + by * by - ex * ex) / (2 * (bx - ex))
-    e2 = 2 * c - ex  # opposite endpoint of the semicircle
-    if e2 > ex:
-        return (one, -e2, one, -ex)
-    return (-one, e2, one, -ex)
+
+def _sq_norm(xn, xd, yn, yd, en, ed):
+    """|ed z - en|^2 (xd yd)^2 at z = xn/xd + i yn/yd."""
+    u = (ed * xn - en * xd) * yd
+    w = ed * yn * xd
+    return u * u + w * w
 
 
 def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
     """Distance from an interior point to a geodesic ray.
 
-    Moves the ray onto the upward vertical axis, where the distance to the
-    full geodesic is asinh(|x|/y) and the projection foot sits at height
-    |z|; if the foot falls below the ray's base the distance to the base
-    point is returned instead.
+    Let b be the base, e the endpoint and e' the far endpoint of the ray's
+    geodesic, each endpoint a projective pair (n, d) with Infinity = (1, 0).
+    The foot of the perpendicular from z lies on the ray iff
+    |z - e'| |b - e| >= |b - e'| |z - e|; then the distance to the geodesic
+    is given by sinh d = |(x - e)(x - e') + y^2| / (|e - e'| y), the
+    |(x - c)^2 + y^2 - r^2| / (2 r y) of a half-plane geodesic of centre c and
+    radius r. Otherwise the distance to the base point is returned. On
+    Fraction data the test is decided exactly on integer numerators and the
+    distance is one exact rational rounded once.
     """
     if not isinstance(p, Interior):
         raise BoundaryPoint("dist_to_ray needs an interior point")
-    g = _standard_position(ray)
-    q = apply(g, p)
-    base = apply(g, ray.base)
-    # foot of the perpendicular from q onto the axis is at height |q|
-    if q.x * q.x + q.y * q.y >= base.y * base.y:
-        return math.asinh(abs(float(q.x / q.y)))
-    return hyp_dist(p, ray.base)
+    b, e = ray.base, ray.endpoint
+    vals = (p.x, p.y, b.x, b.y) + (() if isinstance(e, Infinity) else (e.x,))
+    exact = all(type(v) is Fraction for v in vals)
+
+    def pair(v):
+        return (v.numerator, v.denominator) if exact else (float(v), 1.0)
+
+    xn, xd = pair(p.x)
+    yn, yd = pair(p.y)
+    bn, bd = pair(b.x)
+    un, ud = pair(b.y)
+    en, ed = (1, 0) if isinstance(e, Infinity) else pair(e.x)
+    # far endpoint (|b|^2 - e bx) / (bx - e), both sides times ed
+    u2 = ud * ud
+    fn = ed * (bn * bn * u2 + un * un * bd * bd) - en * bn * bd * u2
+    fd = bd * u2 * (ed * bn - en * bd)
+    if _sq_norm(xn, xd, yn, yd, fn, fd) * _sq_norm(bn, bd, un, ud, en, ed) < (
+        _sq_norm(bn, bd, un, ud, fn, fd) * _sq_norm(xn, xd, yn, yd, en, ed)
+    ):
+        return hyp_dist(p, b)
+    num = (ed * xn - en * xd) * (fd * xn - fn * xd) * yd * yd + ed * fd * (yn * xd) ** 2
+    den = abs(fn * ed - en * fd) * yn * yd * xd * xd
+    return math.asinh(abs(num) / den)
 
 
-def point_along_ray(ray: GeodesicRay, t: float) -> Interior:
-    """The point at hyperbolic distance t from the base along the ray."""
-    g = _standard_position(ray)
-    base = apply(g, ray.base)
-    q = Interior(0.0, float(base.y) * math.exp(t))
-    a, b, c, d = g
-    # the adjugate inverts g up to a positive scale, which the action ignores
-    return apply((d, -b, -c, a), q)
+def points_along_ray(ray: GeodesicRay, ts: Sequence[float]) -> List[Interior]:
+    """The points at hyperbolic distances ts from the base along the ray.
+
+    g(z) = (z - e')/(z - e), with a row (0, 1) for an endpoint at Infinity,
+    sends the ray onto the imaginary axis upward from the height h of g(b);
+    the point at distance t is the image of i h e^t under the adjugate
+    (A, B, C, D) of g. The frame (h and the entries) is one exact
+    computation per ray, and each point costs a few float operations: those
+    of the Mobius action of (A, B, C, D) on 0 + i h e^t, in the same order.
+    """
+    bx, by = ray.base.x, ray.base.y
+    e = ray.endpoint if isinstance(ray.endpoint, Infinity) else ray.endpoint.x
+    if e is INFINITY:
+        far = bx
+    elif bx == e:
+        far = INFINITY
+    else:
+        far = (bx * bx + by * by - e * bx) / (bx - e)
+
+    def row(v):
+        return (0, 1) if v is INFINITY else (1, -v)
+
+    (a, b), (c, d) = row(far), row(e)
+    det = abs(a * d - b * c)
+    h = float(det * by / ((c * bx + d) ** 2 + (c * by) ** 2))
+    # A, B, C, D = d, -b, -c, a; the sign of a row leaves every product unchanged
+    fbd, fd2 = float(-b) * float(a), float(a) ** 2
+    fc, fac, fdet = float(-c), float(d * -c), float(det)
+    points = []
+    for t in ts:
+        y = h * math.exp(t)
+        den = fd2 + (fc * y) ** 2
+        points.append(Interior((fbd + fac * y * y) / den, fdet * y / den))
+    return points

@@ -19,7 +19,7 @@ from .mobius import (
     GeodesicRay,
     Infinity,
     Interior,
-    point_along_ray,
+    points_along_ray,
 )
 from .schottky import SchottkyData
 
@@ -114,7 +114,8 @@ def render_svg(
     parts += [_circle("schottky", c.interval(), "#1f77b4", "1.2") for c in sd.circles()]
 
     ray = GeodesicRay(BASE_POINT, eta)
-    pts = [to_canvas(cayley(point_along_ray(ray, 12.0 * k / 128))) for k in range(129)]
+    ts = [12.0 * k / 128 for k in range(129)]
+    pts = [to_canvas(cayley(q)) for q in points_along_ray(ray, ts)]
     d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
     parts.append(
         f'<path class="ray" d="{d}" fill="none" stroke="#d62728" '

@@ -1,15 +1,31 @@
-"""High-precision sampling oracle for ray distances.
+"""Reference implementations the tests compare the package against.
 
-Independent of the production closed form: the ray is parameterized directly
-on its semicircle (angle inverted from hyperbolic arc length) and the
-distance is minimized by dense sampling plus ternary refinement. mpmath
-precision is needed because deep orbit points sit within 1e-100 of the
-boundary, far below float resolution.
+- A high-precision sampling oracle for ray distances. It is independent of
+  the production closed form: the ray is parameterized directly on its
+  semicircle (angle inverted from hyperbolic arc length) and the distance is
+  minimized by dense sampling plus ternary refinement. mpmath precision is
+  needed because deep orbit points sit within 1e-100 of the boundary, far
+  below float resolution.
+- Exact Fraction formulas for the integer arithmetic of the package.
+- The standard-position ray geometry that the closed forms of
+  mobius.dist_to_ray and mobius.points_along_ray replaced.
+- Boundary fixed points of a group element.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
+
+from schottky_limits.mobius import (
+    INFINITY,
+    Boundary,
+    IdentityElement,
+    Infinity,
+    IsometryClass,
+    classify,
+    hyp_dist,
+)
 
 
 def _mpf(q):
@@ -104,3 +120,129 @@ def frac_disk_chain(mats, lo, hi):
             assert not lo <= pole <= hi, "image is not a bounded disk"
         lo, hi = sorted((frac_mobius_boundary(m, lo), frac_mobius_boundary(m, hi)))
     return lo, hi
+
+
+# -- the standard-position ray geometry that the closed forms replaced --------
+#
+# Each ray is moved onto the upward imaginary axis by an exact matrix and the
+# point is moved with it; mobius.dist_to_ray and mobius.points_along_ray must
+# give exactly these floats.
+
+
+def std_position(ray):
+    """Matrix (positive determinant, in the ray's number type) sending the
+    ray's endpoint to Infinity and the far endpoint of its geodesic to 0."""
+    bx, by = ray.base.x, ray.base.y
+    one = bx - bx + 1
+    if isinstance(ray.endpoint, Infinity):
+        return (one, -bx, 0 * one, one)
+    ex = ray.endpoint.x
+    if bx == ex:
+        return (0 * one, -one, one, -ex)
+    c = (bx * bx + by * by - ex * ex) / (2 * (bx - ex))
+    e2 = 2 * c - ex
+    if e2 > ex:
+        return (one, -e2, one, -ex)
+    return (-one, e2, one, -ex)
+
+
+def matrix_apply(m, x, y):
+    """(a z + b)/(c z + d) at z = x + iy for an entry tuple of any positive
+    determinant, in the entries' and coordinates' own arithmetic."""
+    a, b, c, d = m
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    nx = (a * x + b) * (c * x + d) + a * c * y * y
+    return nx / den, (a * d - b * c) * y / den
+
+
+def ref_foot_on_ray(p, ray):
+    """Whether the foot of the perpendicular from p, at height |z| in
+    standard position, lies on the ray."""
+    g = std_position(ray)
+    qx, qy = matrix_apply(g, p.x, p.y)
+    _, base_y = matrix_apply(g, ray.base.x, ray.base.y)
+    return qx * qx + qy * qy >= base_y * base_y
+
+
+def ref_dist_to_ray(p, ray):
+    """asinh(|x|/y) of the point in standard position when the foot is on
+    the ray, else hyp_dist to the base."""
+    if ref_foot_on_ray(p, ray):
+        qx, qy = matrix_apply(std_position(ray), p.x, p.y)
+        return math.asinh(abs(float(qx / qy)))
+    return hyp_dist(p, ray.base)
+
+
+def ref_point_along_ray(ray, t):
+    """The point at height h e^t on the imaginary axis, h the standard-position
+    base height, moved back by the adjugate of the standard-position matrix."""
+    g = std_position(ray)
+    _, base_y = matrix_apply(g, ray.base.x, ray.base.y)
+    a, b, c, d = g
+    return matrix_apply((d, -b, -c, a), 0.0, float(base_y) * math.exp(t))
+
+
+# -- fixed points, kept as references for the limit-point tests --------------
+
+
+def _rational_sqrt(q):
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    if q < 0:
+        return None
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def fixed_points(g):
+    """Boundary fixed points: 2 for loxodromic, 1 for parabolic, 0 for elliptic.
+
+    Solutions of m21 z^2 + (m22 - m11) z - m12 = 0 on the extended real line.
+    Exact when the discriminant is a rational square, floats otherwise.
+    """
+    if g.is_identity():
+        raise IdentityElement("identity fixes everything")
+    if g.m21 == 0:
+        pts = [INFINITY]
+        if g.m11 != g.m22:
+            pts.append(Boundary(g.m12 / (g.m22 - g.m11)))
+        return set(pts)
+    disc = g.trace() ** 2 - 4
+    if disc < 0:
+        return set()
+    s = _rational_sqrt(disc)
+    a2 = 2 * g.m21
+    if s is not None:
+        r1 = (g.m11 - g.m22 + s) / a2
+        r2 = (g.m11 - g.m22 - s) / a2
+    else:
+        fs = math.sqrt(float(disc))
+        r1 = (float(g.m11 - g.m22) + fs) / float(a2)
+        r2 = (float(g.m11 - g.m22) - fs) / float(a2)
+    if disc == 0:
+        return {Boundary(r1)}
+    return {Boundary(r1), Boundary(r2)}
+
+
+def attracting_fixed_point(g):
+    """The attracting boundary fixed point of a loxodromic element."""
+    if classify(g) != IsometryClass.LOXODROMIC:
+        raise ValueError("attracting fixed point requires a loxodromic element")
+    if g.m21 == 0:
+        if abs(g.m11) > abs(g.m22):
+            return INFINITY
+        return Boundary(g.m12 / (g.m22 - g.m11))
+    # fixed point from the dominant eigenvector (lam - m22)/m21; this stays
+    # stable for matrices with very large entries, unlike the derivative test
+    tr = g.trace()
+    disc = tr * tr - 4
+    s = _rational_sqrt(disc)
+    if s is not None:
+        lam = (tr + s) / 2 if tr > 0 else (tr - s) / 2
+        return Boundary((lam - g.m22) / g.m21)
+    fs = math.sqrt(float(disc))
+    ftr = float(tr)
+    lam = (ftr + fs) / 2 if ftr > 0 else (ftr - fs) / 2
+    return Boundary((lam - float(g.m22)) / float(g.m21))

@@ -1,6 +1,7 @@
-"""The integer arithmetic of GroupElement, apply, hyp_dist and nested_disk
-gives exactly the rationals (and bit-identical floats) of the Fraction
-formulas in oracles.py."""
+"""The integer arithmetic of GroupElement, apply, hyp_dist and nested_disk,
+and the closed-form ray geometry of dist_to_ray and points_along_ray, give
+exactly the rationals (and bit-identical floats) of the reference formulas
+in oracles.py."""
 
 import importlib.util
 import math
@@ -12,12 +13,36 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schottky_limits.freewords import reduce
-from schottky_limits.mobius import GroupElement, apply, hyp_dist
-from schottky_limits.schottky import SchottkyData, default_generators, nested_disk
+from schottky_limits.freewords import WordFamily, reduce, theta
+from schottky_limits.limits import estimate_limit_point, limit_point_brackets, theta_orbit
+from schottky_limits.mobius import (
+    BASE_POINT,
+    INFINITY,
+    Boundary,
+    GeodesicRay,
+    GroupElement,
+    Interior,
+    apply,
+    dist_to_ray,
+    hyp_dist,
+    points_along_ray,
+)
+from schottky_limits.schottky import (
+    SchottkyData,
+    default_generators,
+    nested_disk,
+    word_to_element,
+)
 
 from conftest import interior_points, rationals, unit_det_matrices, words
-from oracles import frac_disk_chain, frac_mobius_interior, frac_sinh2_half
+from oracles import (
+    frac_disk_chain,
+    frac_mobius_interior,
+    frac_sinh2_half,
+    ref_dist_to_ray,
+    ref_foot_on_ray,
+    ref_point_along_ray,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +57,13 @@ def seeded_instance_doc(seed):
     sys.modules[spec.name] = instances  # its dataclasses resolve their module
     spec.loader.exec_module(instances)
     return instances.make_instance(seed).doc
+
+
+def instance(seed):
+    """The shipped instance (seed None) or a seeded benchmark instance."""
+    if seed is None:
+        return default_generators()
+    return SchottkyData.from_json_dict(seeded_instance_doc(seed))
 
 
 def shear_product(shears):
@@ -107,14 +139,91 @@ class TestNestedDisk:
         lo, hi = frac_disk_chain(mats, *sd.target_disk(*w.letters[-1]).interval())
         assert nested_disk(w, sd).interval() == (lo, hi)
 
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_prefix_walk_equals_full_words(self, seed):
+        """The one-prefix walk of the brackets and the orbit gives the disks
+        and points of theta_1..theta_n built from scratch."""
+        sd = instance(seed)
+        fam = WordFamily(max_index=12)
+        thetas = [theta(n, fam) for n in range(1, 13)]
+        assert limit_point_brackets(sd, 12) == [nested_disk(w, sd).interval() for w in thetas]
+        assert theta_orbit(sd, 12) == [apply(word_to_element(w, sd), BASE_POINT) for w in thetas]
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 7])
     def test_bytes_round_trip(self, seed):
-        sd = default_generators() if seed is None else (
-            SchottkyData.from_json_dict(seeded_instance_doc(seed))
-        )
+        sd = instance(seed)
         text = sd.to_json()
         again = SchottkyData.from_json(text)
         assert again == sd
         assert again.to_json() == text
+
+
+def finite_rays():
+    return st.builds(
+        lambda b, x: GeodesicRay(b, Boundary(x)), interior_points(), rationals()
+    ).filter(lambda r: r.base.x != r.endpoint.x)
+
+
+def up_rays():
+    return st.builds(lambda b: GeodesicRay(b, INFINITY), interior_points())
+
+
+def down_rays():
+    return st.builds(lambda b: GeodesicRay(b, Boundary(b.x)), interior_points())
+
+
+RAY_KINDS = {"finite": finite_rays, "infinity": up_rays, "vertical-down": down_rays}
+#: a few rays of each kind, around which a grid of points falls on both
+#: sides of the foot test
+GRID_BASES = [Interior(Fraction(1, 3), Fraction(2)), Interior(Fraction(-2), Fraction(1, 2))]
+GRID_RAYS = {
+    "finite": [GeodesicRay(b, Boundary(Fraction(e))) for b in GRID_BASES for e in ("5/2", "-7/3")],
+    "infinity": [GeodesicRay(b, INFINITY) for b in GRID_BASES],
+    "vertical-down": [GeodesicRay(b, Boundary(b.x)) for b in GRID_BASES],
+}
+#: the ray parameters of render_svg
+RENDER_TS = [12.0 * k / 128 for k in range(129)]
+
+
+class TestRayGeometry:
+    @pytest.mark.parametrize("kind", sorted(RAY_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dist_to_ray_equals_standard_position(self, kind, data):
+        ray = data.draw(RAY_KINDS[kind]())
+        p = data.draw(interior_points())
+        assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
+
+    @pytest.mark.parametrize("kind", sorted(GRID_RAYS))
+    def test_dist_to_ray_both_sides_of_foot(self, kind):
+        sides = set()
+        for ray in GRID_RAYS[kind]:
+            for xn in range(-12, 13):
+                for yn in (1, 3, 8, 20):
+                    p = Interior(Fraction(xn, 3), Fraction(yn, 4))
+                    sides.add(ref_foot_on_ray(p, ray))
+                    assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("kind", sorted(RAY_KINDS))
+    @given(data=st.data(), ts=st.lists(st.floats(0, 14), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_points_along_ray_equal_standard_position(self, kind, data, ts):
+        ray = data.draw(RAY_KINDS[kind]())
+        got = [(q.x, q.y) for q in points_along_ray(ray, ts)]
+        assert got == [ref_point_along_ray(ray, t) for t in ts]
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_deep_instance(self, seed):
+        """The orbit points of construct and the ray of render at n = 24."""
+        sd = instance(seed)
+        eta = estimate_limit_point(limit_point_brackets(sd, 24), 1e-10)
+        ray = GeodesicRay(BASE_POINT, eta)
+        orbit = theta_orbit(sd, 24)
+        assert len(orbit) == 24
+        for p in orbit:
+            assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
+        got = [(q.x, q.y) for q in points_along_ray(ray, RENDER_TS)]
+        assert got == [ref_point_along_ray(ray, t) for t in RENDER_TS]

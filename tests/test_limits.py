@@ -24,7 +24,7 @@ from schottky_limits.mobius import (
     GroupElement,
     apply,
     hyp_dist,
-    point_along_ray,
+    points_along_ray,
 )
 from schottky_limits.schottky import word_to_element
 
@@ -45,6 +45,12 @@ class TestOrbitSamples:
             assert s.word.is_reduced()
             assert s.word not in seen
             seen.add(s.word)
+
+    def test_depth_first_order(self, sd):
+        order = [s.word.to_string() for s in orbit_samples(sd, 2)]
+        assert order[:8] == ["e", "a", "aa", "ab", "aB", "A", "AA", "Ab"]
+        assert order[-4:] == ["B", "Ba", "BA", "BB"]
+        assert len(order) == 17
 
     def test_normal_form_faithful(self, sd):
         elements = {}
@@ -111,7 +117,7 @@ class TestLimitPoint:
             assert lo <= eta.x <= hi
 
     def test_eta_near_attracting_fixed_point(self, sd, fam12, eta):
-        from schottky_limits.mobius import attracting_fixed_point
+        from oracles import attracting_fixed_point
 
         g = word_to_element(theta(8, fam12), sd)
         fp = attracting_fixed_point(g)
@@ -200,7 +206,6 @@ class TestPointAlongRay:
     def test_distance_parameterization(self):
         ray = GeodesicRay(BASE_POINT, Boundary(Fraction(3)))
         rng = random.Random(2)
-        for _ in range(20):
-            t = rng.uniform(0, 8)
-            p = point_along_ray(ray, t)
+        ts = [rng.uniform(0, 8) for _ in range(20)]
+        for t, p in zip(ts, points_along_ray(ray, ts)):
             assert hyp_dist(BASE_POINT, p) == pytest.approx(t, abs=1e-9)

@@ -21,12 +21,12 @@ from schottky_limits.mobius import (
     classify,
     compose,
     dist_to_ray,
-    fixed_points,
     hyp_dist,
     inverse,
 )
 
 from conftest import interior_points, unit_det_matrices
+from oracles import fixed_points
 
 I = GroupElement.identity()
 DIAG = GroupElement.of(2, 0, 0, Fraction(1, 2))
@@ -206,13 +206,13 @@ class TestHypDist:
 def sampled_ray_min(p, ray, coarse=400):
     """Brute-force minimization of hyp_dist over a parameterization of the
     ray, refined by ternary search (distance along a geodesic is convex)."""
-    from schottky_limits.mobius import point_along_ray
+    from schottky_limits.mobius import points_along_ray
 
     pf = Interior(float(p.x), float(p.y))
     reach = hyp_dist(ray.base, pf) + 1.0
 
     def f(t):
-        return hyp_dist(pf, point_along_ray(ray, t))
+        return hyp_dist(pf, points_along_ray(ray, [t])[0])
 
     ts = [reach * k / coarse for k in range(coarse + 1)]
     best = min(range(len(ts)), key=lambda i: f(ts[i]))
