@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 
 class BadIndex(ValueError):
@@ -174,27 +174,6 @@ def expand(sw: SymbolWord, fam: WordFamily) -> Word:
     return reduce(out)
 
 
-def _symbol_words(max_index: int, max_syllables: int):
-    """All nonempty reduced symbol words, lexicographic by (length, sequence)."""
-    alphabet = [(n, e) for n in range(1, max_index + 1) for e in (1, -1)]
-    alphabet.sort()
-
-    def extend(prefix):
-        for s in alphabet:
-            if prefix and prefix[-1][0] == s[0] and prefix[-1][1] == -s[1]:
-                continue
-            yield prefix + [s]
-
-    level = [[]]
-    for _ in range(max_syllables):
-        nxt = []
-        for p in level:
-            for q in extend(p):
-                nxt.append(q)
-                yield SymbolWord(tuple(q))
-        level = nxt
-
-
 def _outer_letters_survive(left: Word, right: Word) -> bool:
     """Check the pair reduction left*right keeps its first and last letters."""
     cat = left * right
@@ -227,6 +206,60 @@ class VerificationReport:
         return self.all_nonempty and self.outer_letters_ok
 
 
+def _join(left: Tuple[Letter, ...], right: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
+    """The letters of reduce(left * right) for reduced left and right: only
+    letters at the junction can cancel."""
+    k, n = 0, min(len(left), len(right))
+    while k < n and left[-1 - k][0] == right[k][0] and left[-1 - k][1] == -right[k][1]:
+        k += 1
+    return left[: len(left) - k] + right[k:]
+
+
+def _pair_survives(s: Syllable, t: Syllable, fam: WordFamily) -> bool:
+    """The outer-letter check of adjacent syllables s, t of opposite signs:
+    (r_n, r_m^-1) at a +- change, (w_n^-1, w_m) at a -+ change."""
+    (n1, e1), (n2, _) = s, t
+    if e1 == 1:
+        return _outer_letters_survive(reverse(fam.word(n1)), reverse(fam.word(n2)).inverse())
+    return _outer_letters_survive(fam.word(n1).inverse(), fam.word(n2))
+
+
+def _symbol_walk(
+    fam: WordFamily, max_syllables: int
+) -> Iterator[Tuple[Tuple[Syllable, ...], Tuple[Letter, ...], int, bool]]:
+    """Every nonempty reduced symbol word up to max_syllables syllables, as
+    (syllables, letters of expand(sw, fam), sign-change pairs, whether its
+    last pair fails), in levels by length with the sorted alphabet inside
+    each level.
+
+    A child is its parent plus one syllable: its letters are the parent's
+    joined to that syllable's block, and its pairs are the parent's plus the
+    one new adjacent pair. Each distinct pair verdict is computed once. The
+    last level is handed out, never stored.
+    """
+    alphabet = sorted((n, e) for n in range(1, fam.max_index + 1) for e in (1, -1))
+    blocks = {s: expand(SymbolWord((s,)), fam).letters for s in alphabet}
+    verdicts = {}
+    level = [((), (), 0)]
+    for depth in range(1, max_syllables + 1):
+        nxt = []
+        for syllables, letters, pairs in level:
+            prev = syllables[-1] if syllables else None
+            for s in alphabet:
+                if prev and prev[0] == s[0] and prev[1] == -s[1]:
+                    continue
+                p, fails = pairs, False
+                if prev and prev[1] != s[1]:
+                    if (prev, s) not in verdicts:
+                        verdicts[prev, s] = _pair_survives(prev, s, fam)
+                    p, fails = pairs + 1, not verdicts[prev, s]
+                word, joined = syllables + (s,), _join(letters, blocks[s])
+                yield word, joined, p, fails
+                if depth < max_syllables:
+                    nxt.append((word, joined, p))
+        level = nxt
+
+
 def verify_free_generation(
     fam: WordFamily, max_syllables: int
 ) -> VerificationReport:
@@ -237,30 +270,27 @@ def verify_free_generation(
     The adjacent pairs are (r_{n_i}, r_{n_{i+1}}^-1) at a +- sign change and
     (w_{n_i}^-1, w_{n_{i+1}}) at a -+ sign change; equal adjacent signs need
     no reduction since the blocks contain only positive letters.
+
+    The symbol words are walked level by level. Each word's normal form is its
+    parent's normal form joined to one precomputed block, so only the junction
+    is reduced; by confluence this equals expand(sw, fam). Each distinct pair
+    verdict is computed once, but pairs_checked counts every occurrence of a
+    pair in every word. Only a word's last pair is checked: its other pairs
+    are its parent's, and the parent comes earlier in the walk, so a failing
+    one has already cleared outer_letters_ok and set the counterexample.
     """
     if not is_prefix_free(fam):
         raise PrefixFreeViolated(
             f"family is not prefix-free up to index {fam.max_index}"
         )
     report = VerificationReport(fam.max_index, max_syllables)
-    for sw in _symbol_words(fam.max_index, max_syllables):
+    for syllables, letters, pairs, last_fails in _symbol_walk(fam, max_syllables):
         report.words_checked += 1
-        if len(expand(sw, fam)) == 0:
+        report.pairs_checked += pairs
+        if not letters:
             report.all_nonempty = False
-            if report.counterexample is None:
-                report.counterexample = sw.to_string()
-        for (n1, e1), (n2, e2) in zip(sw.syllables, sw.syllables[1:]):
-            if e1 == 1 and e2 == -1:
-                left = reverse(fam.word(n1))
-                right = reverse(fam.word(n2)).inverse()
-            elif e1 == -1 and e2 == 1:
-                left = fam.word(n1).inverse()
-                right = fam.word(n2)
-            else:
-                continue
-            report.pairs_checked += 1
-            if not _outer_letters_survive(left, right):
-                report.outer_letters_ok = False
-                if report.counterexample is None:
-                    report.counterexample = sw.to_string()
+        if last_fails:
+            report.outer_letters_ok = False
+        if (last_fails or not letters) and report.counterexample is None:
+            report.counterexample = SymbolWord(syllables).to_string()
     return report

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Set, Tuple
 
-from .freewords import EMPTY, Word, WordFamily, reduce, theta
+from .freewords import EMPTY, Word, WordFamily, _join, reduce, theta
 from .mobius import (
     BASE_POINT,
     Boundary,
@@ -224,25 +224,34 @@ def radial_check(eta: Boundary, sd: SchottkyData, n_max: int) -> RadialWitness:
 
 def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
     """Reduced {a,b} normal forms of all products of <= max_syllables factors
-    from gens and their inverses, reduced as symbol sequences first."""
+    from gens and their inverses, reduced as symbol sequences first.
+
+    Each product extends a shorter one by one factor, so its normal form is
+    the shorter one's joined to that factor; the longest products are not
+    kept for extension.
+    """
     if not gens:
         raise ValueError("gens must be nonempty")
     factors = [reduce(g) for g in gens]
-    out: Set[Word] = {EMPTY}
-    frontier: List[Tuple[Tuple[Tuple[int, int], ...], Word]] = [((), EMPTY)]
-    for _ in range(max_syllables):
+    steps = [
+        ((i, e), (f if e == 1 else f.inverse()).letters)
+        for i, f in enumerate(factors)
+        for e in (1, -1)
+    ]
+    seen = {()}
+    frontier = [(None, ())]  # (the symbol that would cancel, normal form)
+    for depth in range(1, max_syllables + 1):
         nxt = []
-        for symbols, word in frontier:
-            for i in range(len(factors)):
-                for e in (1, -1):
-                    if symbols and symbols[-1] == (i, -e):
-                        continue
-                    f = factors[i] if e == 1 else factors[i].inverse()
-                    nw = reduce(word * f)
-                    nxt.append((symbols + ((i, e),), nw))
-                    out.add(nw)
+        for cancelling, letters in frontier:
+            for (i, e), f in steps:
+                if (i, e) == cancelling:
+                    continue
+                nw = _join(letters, f)
+                seen.add(nw)
+                if depth < max_syllables:
+                    nxt.append(((i, -e), nw))
         frontier = nxt
-    return out
+    return {Word(w) for w in seen}
 
 
 def theta_subgroups(

@@ -281,10 +281,18 @@ def verify_ping_pong(sd: SchottkyData) -> Union[Certificate, Violation]:
 
 
 def word_to_element(w: Word, sd: SchottkyData) -> GroupElement:
-    """Exact matrix of a word: a homomorphism from words to isometries."""
+    """Exact matrix of a word: a homomorphism from words to isometries.
+
+    Each generator is looked up once per call, and an inverse is computed
+    only for a letter the word uses with exponent -1.
+    """
+    gens = {("a", 1): sd.gen_a, ("b", 1): sd.gen_b}
     g = GroupElement.identity()
-    for letter, exponent in w.letters:
-        g = g * sd.generator(letter, exponent)
+    for letter in w.letters:
+        h = gens.get(letter)
+        if h is None:
+            h = gens[letter] = sd.generator(*letter)
+        g = g * h
     return g
 
 

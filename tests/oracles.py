@@ -10,6 +10,9 @@
 - The standard-position ray geometry that the closed forms of
   mobius.dist_to_ray and mobius.points_along_ray replaced.
 - Boundary fixed points of a group element.
+- The letter-by-letter free-generation verifier that the incremental
+  symbol-word walk of freewords.verify_free_generation replaced: it
+  re-expands and re-reduces every symbol word and re-checks every pair.
 """
 
 import math
@@ -17,6 +20,15 @@ from fractions import Fraction
 
 import mpmath
 
+from schottky_limits.freewords import (
+    PrefixFreeViolated,
+    SymbolWord,
+    VerificationReport,
+    _outer_letters_survive,
+    expand,
+    is_prefix_free,
+    reverse,
+)
 from schottky_limits.mobius import (
     INFINITY,
     Boundary,
@@ -246,3 +258,55 @@ def attracting_fixed_point(g):
     ftr = float(tr)
     lam = (ftr + fs) / 2 if ftr > 0 else (ftr - fs) / 2
     return Boundary((lam - float(g.m22)) / float(g.m21))
+
+
+def symbol_words(max_index, max_syllables):
+    """All nonempty reduced symbol words, lexicographic by (length, sequence)."""
+    alphabet = [(n, e) for n in range(1, max_index + 1) for e in (1, -1)]
+    alphabet.sort()
+
+    def extend(prefix):
+        for s in alphabet:
+            if prefix and prefix[-1][0] == s[0] and prefix[-1][1] == -s[1]:
+                continue
+            yield prefix + [s]
+
+    level = [[]]
+    for _ in range(max_syllables):
+        nxt = []
+        for p in level:
+            for q in extend(p):
+                nxt.append(q)
+                yield SymbolWord(tuple(q))
+        level = nxt
+
+
+def ref_verify_free_generation(fam, max_syllables):
+    """Every symbol word expanded and reduced from scratch, every adjacent
+    sign-change pair reduced where it occurs."""
+    if not is_prefix_free(fam):
+        raise PrefixFreeViolated(
+            f"family is not prefix-free up to index {fam.max_index}"
+        )
+    report = VerificationReport(fam.max_index, max_syllables)
+    for sw in symbol_words(fam.max_index, max_syllables):
+        report.words_checked += 1
+        if len(expand(sw, fam)) == 0:
+            report.all_nonempty = False
+            if report.counterexample is None:
+                report.counterexample = sw.to_string()
+        for (n1, e1), (n2, e2) in zip(sw.syllables, sw.syllables[1:]):
+            if e1 == 1 and e2 == -1:
+                left = reverse(fam.word(n1))
+                right = reverse(fam.word(n2)).inverse()
+            elif e1 == -1 and e2 == 1:
+                left = fam.word(n1).inverse()
+                right = fam.word(n2)
+            else:
+                continue
+            report.pairs_checked += 1
+            if not _outer_letters_survive(left, right):
+                report.outer_letters_ok = False
+                if report.counterexample is None:
+                    report.counterexample = sw.to_string()
+    return report

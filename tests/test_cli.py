@@ -157,6 +157,48 @@ class TestInputFuzz:
         assert "Traceback" not in result.output
 
 
+# small in-range values only: a large bound would make the run itself slow
+IN_RANGE = {"--max-index": 5, "--max-syllables": 3, "--n-max": 12}
+FUZZ_FLAGS = {
+    "freeness": ("--max-index", "--max-syllables"),
+    "intersect": ("--max-index", "--max-syllables"),
+    "construct": ("--n-max", "--tol"),
+}
+BAD_VALUES = st.sampled_from(
+    ["0", "-0", "-1", "-7", "1.5", "2.0", "1e3", "abc", "", "nan", "-nan", "inf"]
+)
+
+
+def flag_values(flag):
+    if flag == "--tol":
+        return st.one_of(st.floats().map(str), BAD_VALUES)
+    return st.one_of(
+        st.integers(1, IN_RANGE[flag]).map(str), st.integers(-5, 0).map(str), BAD_VALUES
+    )
+
+
+@st.composite
+def flag_invocations(draw):
+    """A subcommand with a random subset of its numeric flags, each set to an
+    in-range value, zero, a negative, a float, a non-number or nan."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    args = [command]
+    for flag in FUZZ_FLAGS[command]:
+        if draw(st.booleans()):
+            args += [flag, draw(flag_values(flag))]
+    return args
+
+
+class TestFlagFuzz:
+    @given(flag_invocations())
+    @settings(max_examples=150, deadline=None)
+    def test_flags_exit_cleanly(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+
 class TestFreeness:
     def test_small_run(self, runner):
         result = runner.invoke(

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from schottky_limits.freewords import (
     DEFAULT_FAMILY,
@@ -10,7 +11,7 @@ from schottky_limits.freewords import (
     SymbolWord,
     Word,
     WordFamily,
-    _symbol_words,
+    _symbol_walk,
     doubled_word,
     expand,
     is_prefix_free,
@@ -22,6 +23,7 @@ from schottky_limits.freewords import (
 )
 
 from conftest import words
+from oracles import ref_verify_free_generation, symbol_words
 
 
 def all_b_rule(n):
@@ -30,6 +32,21 @@ def all_b_rule(n):
 
 def a_then_b_rule(n):
     return Word(tuple([("a", 1)] * n + [("b", 1)]))
+
+
+def family_of(*ws):
+    """The family whose n-th word is ws[n - 1], given as strings or Words."""
+    ws = tuple(Word.from_string(w) if isinstance(w, str) else w for w in ws)
+    return WordFamily(rule=lambda n: ws[n - 1], max_index=len(ws))
+
+
+def reduced_words(max_len=3):
+    letter = st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)])
+    return (
+        st.lists(letter, min_size=1, max_size=max_len)
+        .map(lambda ls: Word(tuple(ls)))
+        .filter(Word.is_reduced)
+    )
 
 
 class TestWord:
@@ -160,7 +177,7 @@ class TestExpand:
 
     def test_homomorphism_on_enumeration(self):
         fam = WordFamily(max_index=3)
-        small = [sw for sw in _symbol_words(3, 2)]
+        small = [sw for sw in symbol_words(3, 2)]
         for s in small[:40]:
             for t in small[:40]:
                 joined = SymbolWord(s.syllables + t.syllables)
@@ -174,11 +191,11 @@ class TestExpand:
 class TestSymbolEnumeration:
     def test_counts(self):
         # 2N choices for the first syllable, 2N-1 for each further one
-        got = sum(1 for _ in _symbol_words(3, 3))
+        got = sum(1 for _ in symbol_words(3, 3))
         assert got == 6 + 6 * 5 + 6 * 25
 
     def test_all_reduced_and_distinct(self):
-        seen = set(_symbol_words(2, 3))
+        seen = set(symbol_words(2, 3))
         assert len(seen) == 4 + 4 * 3 + 4 * 9
         assert all(sw.is_reduced() for sw in seen)
 
@@ -209,3 +226,40 @@ class TestVerifyFreeGeneration:
         for n in range(1, 7):
             block = doubled_word(n, DEFAULT_FAMILY)
             assert all(e == 1 for _, e in block.letters)
+
+    @pytest.mark.parametrize(
+        "fam, max_syllables",
+        [
+            (WordFamily(max_index=3), 3),
+            (WordFamily(max_index=4), 3),
+            (WordFamily(max_index=6), 3),
+            (WordFamily(max_index=6), 4),
+            # unreduced words, whose adjacent-pair reductions lose an outer letter
+            (family_of("aaA", "bAB", "BB"), 3),
+            (family_of("AB", "b", "BBb"), 3),
+        ],
+        ids=["3/3", "4/3", "6/3", "6/4", "unreduced-1", "unreduced-2"],
+    )
+    def test_matches_reference(self, fam, max_syllables):
+        got = verify_free_generation(fam, max_syllables)
+        assert got == ref_verify_free_generation(fam, max_syllables)
+
+    @given(st.lists(reduced_words(), min_size=3, max_size=3))
+    @example(["ab", "AB", "aaa"])  # S1^-1.S2^-1 expands to the empty word
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_sign_families_match_reference(self, ws):
+        fam = family_of(*ws)
+        assume(is_prefix_free(fam))
+        assert verify_free_generation(fam, 3) == ref_verify_free_generation(fam, 3)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [WordFamily(max_index=4), family_of("ab", "AB", "aaa", "Ba")],
+        ids=["default", "mixed-sign"],
+    )
+    def test_walk_letters_equal_expand(self, fam):
+        walked = list(_symbol_walk(fam, 3))
+        sws = list(symbol_words(4, 3))
+        assert [syllables for syllables, _, _, _ in walked] == [sw.syllables for sw in sws]
+        for (_, letters, _, _), sw in zip(walked, sws):
+            assert letters == expand(sw, fam).letters
