@@ -29,11 +29,9 @@ import sys
 from typing import NoReturn, Optional
 
 import click
-import jsonschema
 
 from . import limits, report as report_mod
 from .freewords import PrefixFreeViolated, WordFamily, verify_free_generation
-from .mobius import NonUnitDeterminant
 from .render import render_svg
 from .schottky import Certificate, SchottkyData, default_generators, verify_ping_pong
 
@@ -41,16 +39,17 @@ from .schottky import Certificate, SchottkyData, default_generators, verify_ping
 def _load_schottky(input_path: Optional[str]) -> SchottkyData:
     if input_path is None:
         return default_generators()
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers over
+    # 4300 digits; RecursionError covers deeply nested arrays and objects
     try:
-        with open(input_path) as fh:
+        with open(input_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     try:
-        jsonschema.validate(doc, report_mod.SCHOTTKY_SCHEMA)
         return SchottkyData.from_json_dict(doc)
-    except (jsonschema.ValidationError, NonUnitDeterminant, KeyError, ValueError) as exc:
+    except ValueError as exc:
         click.echo(f"schema violation: {exc}", err=True)
         sys.exit(2)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .freewords import EMPTY, Word, WordFamily, _join, reduce, theta
 from .mobius import (
@@ -273,9 +273,45 @@ def intersect_subgroups(g1: Set[Word], g2: Set[Word]) -> Set[Word]:
     return g1 & g2
 
 
+def _common_prefix(u: Tuple, v: Tuple) -> int:
+    n = 0
+    for x, y in zip(u, v):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _word_matrices(words: Set[Word], sd: SchottkyData) -> Dict[Word, GroupElement]:
+    """The exact matrix of each word.
+
+    The sorted words are walked as the branches of their prefix trie: the
+    letters of each branch go through one word_to_element, which multiplies
+    onto the product of the prefix the branch hangs from, so a prefix shared
+    by many words is multiplied out once.
+    """
+    ws = sorted(w.letters for w in words)
+    out = {}
+    # (lo, hi, depth, m): ws[lo:hi] share the prefix ws[lo][:depth], whose product is m
+    todo = [(0, len(ws), 0, GroupElement.identity())] if ws else []
+    while todo:
+        lo, hi, depth, m = todo.pop()
+        if len(ws[lo]) == depth:  # the shared prefix is itself a word; it sorts first
+            out[Word(ws[lo])] = m
+            lo += 1
+        while lo < hi:
+            end = lo + 1
+            while end < hi and ws[end][depth] == ws[lo][depth]:
+                end += 1
+            branch = _common_prefix(ws[lo], ws[end - 1])
+            todo.append((lo, end, branch, m * word_to_element(Word(ws[lo][depth:branch]), sd)))
+            lo = end
+    return out
+
+
 def intersect_by_matrices(
     g1: Set[Word], g2: Set[Word], sd: SchottkyData
 ) -> Set[Word]:
     """Cross-check of intersect_subgroups by exact matrix comparison."""
-    by_matrix = {word_to_element(w, sd): w for w in g1}
-    return {w for w in g2 if word_to_element(w, sd) in by_matrix}
+    in_g1 = set(_word_matrices(g1, sd).values())
+    return {w for w, m in _word_matrices(g2, sd).items() if m in in_g1}

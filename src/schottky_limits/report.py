@@ -1,4 +1,4 @@
-"""Full-pipeline construction report and its JSON schema.
+"""Full-pipeline construction report and its stable serialization.
 
 The report JSON is deterministic: fixed field order, rationals as "p/q"
 strings, floats as decimal strings with 12 significant digits.
@@ -118,103 +118,3 @@ def report_verified(report: dict) -> bool:
 def dumps(report: dict) -> str:
     """Byte-stable serialization: insertion order, two-space indent."""
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
-
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "ConstructionReport",
-    "type": "object",
-    "required": ["certificate"],
-    "properties": {
-        "certificate": {
-            "type": "object",
-            "required": ["status"],
-            "properties": {
-                "status": {"enum": ["certified", "violation"]},
-                "checks": {"type": "array", "items": {"type": "string"}},
-                "name": {"type": "string"},
-                "detail": {"type": "string"},
-            },
-        },
-        "free_generation": {
-            "type": "object",
-            "required": ["verified", "words_checked", "pairs_checked", "note"],
-            "properties": {
-                "verified": {"type": "boolean"},
-                "words_checked": {"type": "integer"},
-                "pairs_checked": {"type": "integer"},
-                "counterexample": {"type": ["string", "null"]},
-                "note": {"type": "string"},
-            },
-        },
-        "eta": {"type": "string"},
-        "constant_c": {"type": "string"},
-        "per_n": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["n", "distance"],
-                "properties": {
-                    "n": {"type": "integer"},
-                    "distance": {"type": "string"},
-                },
-            },
-        },
-        "radial_bounded_trend": {"type": "boolean"},
-        "qi": {
-            "type": "object",
-            "required": ["alphas", "betas", "max_length"],
-            "properties": {
-                "alphas": {
-                    "type": "object",
-                    "required": ["lower", "upper"],
-                },
-                "betas": {
-                    "type": "object",
-                    "required": ["lower", "upper"],
-                },
-                "max_length": {"type": "integer"},
-            },
-        },
-        "intersection": {"type": "array", "items": {"type": "string"}},
-        "subgroup_sizes": {"type": "object"},
-    },
-}
-
-# An input rational is a short string without exponent notation: "1e999999999"
-# would make Fraction build a huge integer before any check, and violation
-# details print exact rationals, which str() refuses beyond 4300 digits.
-RATIONAL_SCHEMA = {"type": "string", "maxLength": 200, "pattern": "^[^eE]*$"}
-
-SCHOTTKY_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "SchottkyData",
-    "type": "object",
-    "required": ["gen_a", "gen_b", "circles"],
-    "properties": {
-        "gen_a": {
-            "type": "array",
-            "items": RATIONAL_SCHEMA,
-            "minItems": 4,
-            "maxItems": 4,
-        },
-        "gen_b": {
-            "type": "array",
-            "items": RATIONAL_SCHEMA,
-            "minItems": 4,
-            "maxItems": 4,
-        },
-        "circles": {
-            "type": "object",
-            "required": ["C_a", "C_a_prime", "C_b", "C_b_prime"],
-            "additionalProperties": {
-                "type": "object",
-                "required": ["center", "radius"],
-                "properties": {
-                    "center": RATIONAL_SCHEMA,
-                    "radius": RATIONAL_SCHEMA,
-                },
-            },
-        },
-    },
-}

@@ -91,6 +91,37 @@ def image_circle(g: GroupElement, circle: Circle, require_bounded: bool = False)
     return Circle((ilo + ihi) / 2, (ihi - ilo) / 2)
 
 
+CIRCLE_NAMES = ("C_a", "C_a_prime", "C_b", "C_b_prime")
+
+# An input rational is a short string without exponent notation: "1e999999999"
+# would make Fraction build a huge integer before any check, and violation
+# details print exact rationals, which str() refuses beyond 4300 digits.
+MAX_RATIONAL_CHARS = 200
+
+
+def _require_keys(value, where: str, keys: Tuple[str, ...]) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return value
+
+
+def _rational_string(value, where: str) -> str:
+    if not (
+        isinstance(value, str)
+        and len(value) <= MAX_RATIONAL_CHARS
+        and "e" not in value
+        and "E" not in value
+    ):
+        raise ValueError(
+            f"{where} must be a string of at most {MAX_RATIONAL_CHARS} characters"
+            " without exponent notation"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class SchottkyData:
     gen_a: GroupElement
@@ -138,29 +169,47 @@ class SchottkyData:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SchottkyData":
+    def from_json_dict(cls, d) -> "SchottkyData":
+        """Parse a SchottkyData document; every malformed part raises ValueError.
+
+        The document is an object with gen_a, gen_b and circles (other keys
+        are ignored). Each matrix is a list of 4 rationals. circles is an
+        object with C_a, C_a_prime, C_b and C_b_prime, and every value in it,
+        extra keys included, is an object with a center and a radius
+        rational. Matrices must have a positive rational square determinant,
+        radii must be positive, and no denominator may be zero.
+        """
+        _require_keys(d, "document", ("gen_a", "gen_b", "circles"))
+        circles = _require_keys(d["circles"], "circles", CIRCLE_NAMES)
+        for name, c in circles.items():
+            _require_keys(c, f"circles[{name!r}]", ("center", "radius"))
+            for part in ("center", "radius"):
+                _rational_string(c[part], f"circles[{name!r}].{part}")
+
         def rational(s):
             try:
                 return Fraction(s)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {s!r}") from None
 
-        def mat(entries):
+        def mat(name):
+            entries = d[name]
             if not (isinstance(entries, list) and len(entries) == 4):
-                raise ValueError("matrix must be a list of 4 rational strings")
-            return GroupElement.of(*[rational(s) for s in entries])
+                raise ValueError(f"{name} must be a list of 4 rational strings")
+            return GroupElement.of(
+                *[rational(_rational_string(s, f"{name}[{i}]")) for i, s in enumerate(entries)]
+            )
 
-        def circ(c):
-            return Circle(rational(c["center"]), rational(c["radius"]))
+        def circ(name):
+            return Circle(rational(circles[name]["center"]), rational(circles[name]["radius"]))
 
-        circles = d["circles"]
         return cls(
-            gen_a=mat(d["gen_a"]),
-            gen_b=mat(d["gen_b"]),
-            circle_a=circ(circles["C_a"]),
-            circle_a_prime=circ(circles["C_a_prime"]),
-            circle_b=circ(circles["C_b"]),
-            circle_b_prime=circ(circles["C_b_prime"]),
+            gen_a=mat("gen_a"),
+            gen_b=mat("gen_b"),
+            circle_a=circ("C_a"),
+            circle_a_prime=circ("C_a_prime"),
+            circle_b=circ("C_b"),
+            circle_b_prime=circ("C_b_prime"),
         )
 
     def to_json(self) -> str:
@@ -210,9 +259,6 @@ class Violation:
     @property
     def certified(self) -> bool:
         return False
-
-
-CIRCLE_NAMES = ("C_a", "C_a_prime", "C_b", "C_b_prime")
 
 
 def verify_ping_pong(sd: SchottkyData) -> Union[Certificate, Violation]:

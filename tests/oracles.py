@@ -13,6 +13,12 @@
 - The letter-by-letter free-generation verifier that the incremental
   symbol-word walk of freewords.verify_free_generation replaced: it
   re-expands and re-reduces every symbol word and re-checks every pair.
+- The matrix cross-check of the subgroup intersection with every word's
+  matrix built letter by letter, which the prefix-trie walk of
+  limits.intersect_by_matrices replaced.
+- JSON Schemas of the construction report and of the SchottkyData input
+  document: the input shape check of SchottkyData.from_json_dict must
+  accept exactly the documents SCHOTTKY_SCHEMA accepts.
 """
 
 import math
@@ -38,6 +44,7 @@ from schottky_limits.mobius import (
     classify,
     hyp_dist,
 )
+from schottky_limits.schottky import word_to_element
 
 
 def _mpf(q):
@@ -310,3 +317,106 @@ def ref_verify_free_generation(fam, max_syllables):
                 if report.counterexample is None:
                     report.counterexample = sw.to_string()
     return report
+
+
+def ref_intersect_by_matrices(g1, g2, sd):
+    """Each word's matrix built anew, letter by letter."""
+    in_g1 = {word_to_element(w, sd) for w in g1}
+    return {w for w in g2 if word_to_element(w, sd) in in_g1}
+
+
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "ConstructionReport",
+    "type": "object",
+    "required": ["certificate"],
+    "properties": {
+        "certificate": {
+            "type": "object",
+            "required": ["status"],
+            "properties": {
+                "status": {"enum": ["certified", "violation"]},
+                "checks": {"type": "array", "items": {"type": "string"}},
+                "name": {"type": "string"},
+                "detail": {"type": "string"},
+            },
+        },
+        "free_generation": {
+            "type": "object",
+            "required": ["verified", "words_checked", "pairs_checked", "note"],
+            "properties": {
+                "verified": {"type": "boolean"},
+                "words_checked": {"type": "integer"},
+                "pairs_checked": {"type": "integer"},
+                "counterexample": {"type": ["string", "null"]},
+                "note": {"type": "string"},
+            },
+        },
+        "eta": {"type": "string"},
+        "constant_c": {"type": "string"},
+        "per_n": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["n", "distance"],
+                "properties": {
+                    "n": {"type": "integer"},
+                    "distance": {"type": "string"},
+                },
+            },
+        },
+        "radial_bounded_trend": {"type": "boolean"},
+        "qi": {
+            "type": "object",
+            "required": ["alphas", "betas", "max_length"],
+            "properties": {
+                "alphas": {
+                    "type": "object",
+                    "required": ["lower", "upper"],
+                },
+                "betas": {
+                    "type": "object",
+                    "required": ["lower", "upper"],
+                },
+                "max_length": {"type": "integer"},
+            },
+        },
+        "intersection": {"type": "array", "items": {"type": "string"}},
+        "subgroup_sizes": {"type": "object"},
+    },
+}
+
+RATIONAL_SCHEMA = {"type": "string", "maxLength": 200, "pattern": "^[^eE]*$"}
+
+SCHOTTKY_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "SchottkyData",
+    "type": "object",
+    "required": ["gen_a", "gen_b", "circles"],
+    "properties": {
+        "gen_a": {
+            "type": "array",
+            "items": RATIONAL_SCHEMA,
+            "minItems": 4,
+            "maxItems": 4,
+        },
+        "gen_b": {
+            "type": "array",
+            "items": RATIONAL_SCHEMA,
+            "minItems": 4,
+            "maxItems": 4,
+        },
+        "circles": {
+            "type": "object",
+            "required": ["C_a", "C_a_prime", "C_b", "C_b_prime"],
+            "additionalProperties": {
+                "type": "object",
+                "required": ["center", "radius"],
+                "properties": {
+                    "center": RATIONAL_SCHEMA,
+                    "radius": RATIONAL_SCHEMA,
+                },
+            },
+        },
+    },
+}

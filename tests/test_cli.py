@@ -1,6 +1,11 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -10,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schottky_limits.cli import main
-from schottky_limits.report import REPORT_SCHEMA, SCHOTTKY_SCHEMA
-from schottky_limits.schottky import default_generators
+from schottky_limits.schottky import CIRCLE_NAMES, SchottkyData, default_generators
+
+from oracles import REPORT_SCHEMA, SCHOTTKY_SCHEMA
+
+ROOT = Path(__file__).resolve().parents[1]
+INPUT_COMMANDS = ["certify", "construct", "intersect", "report", "render"]
 
 
 @pytest.fixture()
@@ -75,9 +84,23 @@ class TestCertify:
         result = runner.invoke(main, ["certify", "--input", "/nonexistent.json"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize(
-        "command", ["certify", "construct", "intersect", "report", "render"]
-    )
+    @pytest.mark.parametrize("command", INPUT_COMMANDS)
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",  # not UTF-8
+        b'{"gen_a": ' + b"1" * 5000 + b"}",  # over the 4300-digit int conversion limit
+        b"[" * 100_000,  # deeper than the recursion limit
+    ], ids=["not-utf8", "5000-digit-int", "deep-nesting"])
+    def test_undecodable_input_exit_2(self, runner, tmp_path, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        result = runner.invoke(main, [command, "--input", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("input error: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS)
     @pytest.mark.parametrize("field", ["gen_a", "center"])
     def test_zero_denominator_exit_2(self, runner, tmp_path, command, field):
         doc = default_generators().to_json_dict()
@@ -343,6 +366,134 @@ class TestSinglePath:
         )
 
 
+def _is_rational_square(q):
+    return all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+def breaks_a_rule(doc):
+    """Whether a document of the schema's shape has a rational string that
+    does not parse (a zero denominator among them), a non-positive radius, or
+    a matrix whose determinant is not a positive rational square."""
+    try:
+        mats = [[Fraction(s) for s in doc[g]] for g in ("gen_a", "gen_b")]
+        circles = [(Fraction(doc["circles"][c]["center"]), Fraction(doc["circles"][c]["radius"]))
+                   for c in CIRCLE_NAMES]
+    except (ValueError, ZeroDivisionError):
+        return True
+    dets = [a * d - b * c for a, b, c, d in mats]
+    return any(radius <= 0 for _, radius in circles) or not all(
+        det > 0 and _is_rational_square(det) for det in dets
+    )
+
+
+def oracle_rejects(doc):
+    """jsonschema rejects the document, or it breaks a rule of its values."""
+    try:
+        jsonschema.validate(doc, SCHOTTKY_SCHEMA)
+    except jsonschema.ValidationError:
+        return True
+    return breaks_a_rule(doc)
+
+
+def from_json_dict_rejects(doc):
+    try:
+        SchottkyData.from_json_dict(doc)
+    except ValueError:
+        return True
+    return False
+
+
+def shipped_with(path, value):
+    """The shipped document with the value at a key path replaced."""
+    doc = default_generators().to_json_dict()
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    return doc
+
+
 class TestSchemas:
     def test_default_data_validates(self):
         jsonschema.validate(default_generators().to_json_dict(), SCHOTTKY_SCHEMA)
+
+    @given(schottky_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_shape_check_agrees_with_schema(self, doc):
+        assert from_json_dict_rejects(doc) == oracle_rejects(doc)
+
+    @pytest.mark.parametrize("doc, accepted", [
+        ([], False),
+        (None, False),
+        ("gen_a", False),
+        ({**default_generators().to_json_dict(), "comment": 7}, True),
+        (shipped_with(["circles", "C_x"], 7), False),
+        (shipped_with(["circles", "C_x"], {"center": "x", "radius": "-1"}), True),
+        (shipped_with(["circles", "C_x"], {"center": "1E5", "radius": "1"}), False),
+        (shipped_with(["circles", "C_x"], {"center": "0"}), False),
+        (shipped_with(["circles", "C_a", "center"], "-5/4\n"), True),
+        (shipped_with(["circles", "C_a", "center"], "-5/\n4"), False),
+        (shipped_with(["circles", "C_a", "center"], "\ne"), False),
+        (shipped_with(["gen_a", 0], 5), False),
+        (shipped_with(["gen_a", 0], 5 / 3), False),
+        (shipped_with(["gen_a", 0], True), False),
+        (shipped_with(["gen_a", 0], None), False),
+        (shipped_with(["gen_a", 0], "5e0/3"), False),
+        (shipped_with(["gen_a", 0], "5E0/3"), False),
+        (shipped_with(["gen_a"], ["5/3", "4/3", "4/3", "5/3", "0"]), False),
+        (shipped_with(["gen_a"], ("5/3", "4/3", "4/3", "5/3")), False),
+        (shipped_with(["gen_a", 0], "5/3".rjust(200, "0")), True),
+        (shipped_with(["gen_a", 0], "5/3".rjust(201, "0")), False),
+        (shipped_with(["circles", "C_b", "radius"], "3/4".rjust(200, "0")), True),
+        (shipped_with(["circles", "C_b", "radius"], "3/4".rjust(201, "0")), False),
+    ])
+    def test_explicit_documents(self, doc, accepted):
+        assert oracle_rejects(doc) == (not accepted)
+        assert from_json_dict_rejects(doc) == (not accepted)
+
+    @pytest.mark.parametrize("doc", [[], "x", shipped_with(["circles"], None),
+                                     shipped_with(["gen_b", 3], "1" * 201)])
+    def test_cli_reports_one_line(self, runner, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["certify", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert re.fullmatch(r"schema violation: [^\n]+\n", result.stderr)
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env=env, timeout=120)
+
+
+class TestStartupImports:
+    HEAVY = "{'jsonschema', 'referencing', 'attrs', 'attr', 'rpds'}"
+
+    def test_cli_imports_no_jsonschema(self):
+        proc = run_python(
+            "import schottky_limits.cli, sys; print(sorted(m for m in sys.modules"
+            f" if m.split('.')[0] in {self.HEAVY}))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
+
+    @pytest.mark.parametrize("args", [
+        ["certify"],
+        ["construct", "--n-max", "3"],
+        ["intersect", "--max-index", "2", "--max-syllables", "1"],
+        ["render", "--n-max", "3"],
+        ["report", "--n-max", "8", "--max-index", "2", "--max-syllables", "1",
+         "--max-length", "2"],
+    ])
+    def test_commands_run_without_jsonschema(self, default_json, args):
+        run = "from schottky_limits.cli import main; main()"
+        args = [*args, "--input", default_json]
+        blocked = run_python("import sys; sys.modules['jsonschema'] = None; " + run, *args)
+        plain = run_python(run, *args)
+        assert blocked.returncode == plain.returncode
+        assert blocked.stdout == plain.stdout
+        assert blocked.stdout

@@ -13,8 +13,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schottky_limits.freewords import WordFamily, reduce, theta
-from schottky_limits.limits import estimate_limit_point, limit_point_brackets, theta_orbit
+from schottky_limits.freewords import EMPTY, WordFamily, reduce, theta
+from schottky_limits.limits import (
+    _word_matrices,
+    estimate_limit_point,
+    intersect_by_matrices,
+    limit_point_brackets,
+    theta_orbit,
+    theta_subgroups,
+)
 from schottky_limits.mobius import (
     BASE_POINT,
     INFINITY,
@@ -41,6 +48,7 @@ from oracles import (
     frac_sinh2_half,
     ref_dist_to_ray,
     ref_foot_on_ray,
+    ref_intersect_by_matrices,
     ref_point_along_ray,
 )
 
@@ -148,6 +156,29 @@ class TestNestedDisk:
         thetas = [theta(n, fam) for n in range(1, 13)]
         assert limit_point_brackets(sd, 12) == [nested_disk(w, sd).interval() for w in thetas]
         assert theta_orbit(sd, 12) == [apply(word_to_element(w, sd), BASE_POINT) for w in thetas]
+
+
+class TestIntersectByMatrices:
+    @pytest.mark.parametrize("seed", [None, 2, 3, 11])
+    @pytest.mark.parametrize("max_index, max_syllables", [(4, 2), (6, 3)])
+    def test_trie_walk_equals_letter_by_letter(self, seed, max_index, max_syllables):
+        sd = instance(seed)
+        g1, g2 = theta_subgroups(WordFamily(max_index=max_index), max_syllables)
+        assert _word_matrices(g1 | g2, sd) == {w: word_to_element(w, sd) for w in g1 | g2}
+        assert intersect_by_matrices(g1, g2, sd) == ref_intersect_by_matrices(g1, g2, sd)
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_exactly_one_shared_word(self, seed):
+        sd = instance(seed)
+        g1, g2 = theta_subgroups(WordFamily(max_index=6), 3)
+        shared = max(g1, key=lambda w: (len(w), w.to_string()))
+        g2 = (g2 - {EMPTY}) | {shared}
+        assert intersect_by_matrices(g1, g2, sd) == {shared}
+        assert ref_intersect_by_matrices(g1, g2, sd) == {shared}
+
+    def test_empty_sets(self, sd):
+        assert _word_matrices(set(), sd) == {}
+        assert intersect_by_matrices(set(), {EMPTY}, sd) == set()
 
 
 class TestJsonRoundTrip:
