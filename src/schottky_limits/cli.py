@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit status: 0 when every verification in the command's scope passed,
-1 on a violation or counterexample, 2 on input errors.
+1 on a violation or counterexample, 2 on input errors and on an --out path
+that cannot be written.
 
 Custom generators are supplied as a SchottkyData JSON document:
 
@@ -67,9 +68,13 @@ def _load_certified(input_path: Optional[str]) -> SchottkyData:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        click.echo(f"output error: {exc}", err=True)
+        sys.exit(2)
 
 
 def _dump(doc: dict, out: Optional[str]) -> None:

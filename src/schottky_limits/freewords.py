@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
+from .value import Value, init_field
+
 
 class BadIndex(ValueError):
     pass
@@ -27,9 +29,11 @@ class PrefixFreeViolated(ValueError):
 Letter = Tuple[str, int]  # (generator, exponent +-1)
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: Tuple[Letter, ...] = ()
+class Word(Value):
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: Tuple[Letter, ...] = ()):
+        init_field(self, "letters", letters)
 
     @classmethod
     def from_string(cls, s: str) -> "Word":
@@ -139,11 +143,13 @@ def is_prefix_free(fam: WordFamily) -> bool:
 Syllable = Tuple[int, int]  # (family index, exponent +-1)
 
 
-@dataclass(frozen=True)
-class SymbolWord:
+class SymbolWord(Value):
     """Word in the abstract doubled-word symbols, prior to expansion."""
 
-    syllables: Tuple[Syllable, ...] = ()
+    __slots__ = ("syllables",)
+
+    def __init__(self, syllables: Tuple[Syllable, ...] = ()):
+        init_field(self, "syllables", syllables)
 
     def is_reduced(self) -> bool:
         return all(

@@ -9,7 +9,6 @@ claims about the infinite group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
@@ -25,6 +24,7 @@ from .mobius import (
     hyp_dist,
 )
 from .schottky import SchottkyData, image_circle, nested_disk, word_to_element
+from .value import Value, init_field
 
 
 class ToleranceNotReached(ValueError):
@@ -36,12 +36,14 @@ class ToleranceNotReached(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class OrbitSample:
-    word: Word
-    element: GroupElement
-    point: Interior
-    displacement: float
+class OrbitSample(Value):
+    __slots__ = ("word", "element", "point", "displacement")
+
+    def __init__(self, word: Word, element: GroupElement, point: Interior, displacement: float):
+        init_field(self, "word", word)
+        init_field(self, "element", element)
+        init_field(self, "point", point)
+        init_field(self, "displacement", displacement)
 
 
 def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
@@ -66,18 +68,32 @@ def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
                 stack.append((word + (let,), g * gens[let]))
 
 
-@dataclass(frozen=True)
-class QIEstimate:
+class QIEstimate(Value):
     """Affine envelopes lower_alpha*|w| - lower_beta <= displacement(w)
     <= upper_alpha*|w| + upper_beta over all reduced words up to max_length."""
 
-    lower_alpha: float
-    lower_beta: float
-    upper_alpha: float
-    upper_beta: float
-    max_length: int
-    lower_witness: Word = EMPTY
-    upper_witness: Word = EMPTY
+    __slots__ = (
+        "lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length",
+        "lower_witness", "upper_witness",
+    )
+
+    def __init__(
+        self,
+        lower_alpha: float,
+        lower_beta: float,
+        upper_alpha: float,
+        upper_beta: float,
+        max_length: int,
+        lower_witness: Word = EMPTY,
+        upper_witness: Word = EMPTY,
+    ):
+        init_field(self, "lower_alpha", lower_alpha)
+        init_field(self, "lower_beta", lower_beta)
+        init_field(self, "upper_alpha", upper_alpha)
+        init_field(self, "upper_beta", upper_beta)
+        init_field(self, "max_length", max_length)
+        init_field(self, "lower_witness", lower_witness)
+        init_field(self, "upper_witness", upper_witness)
 
 
 def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
@@ -90,9 +106,10 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     lower, upper = math.inf, 0.0
     lower_w = upper_w = EMPTY
     for s in orbit_samples(sd, max_length):
-        if len(s.word) == 0:
+        n = len(s.word)
+        if n == 0:
             continue
-        ratio = s.displacement / len(s.word)
+        ratio = s.displacement / n
         if ratio < lower:
             lower, lower_w = ratio, s.word
         if ratio > upper:
@@ -100,15 +117,17 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     return QIEstimate(lower, 0.0, upper, 0.0, max_length, lower_w, upper_w)
 
 
-@dataclass(frozen=True)
-class OrbitCount:
+class OrbitCount(Value):
     """Count of orbit points inside a hyperbolic ball around the base point."""
 
-    count: int
-    radius: float
-    max_length: int
-    complete: bool  # True when the QI lower bound rules out longer words
-    qi: QIEstimate
+    __slots__ = ("count", "radius", "max_length", "complete", "qi")
+
+    def __init__(self, count: int, radius: float, max_length: int, complete: bool, qi: QIEstimate):
+        init_field(self, "count", count)
+        init_field(self, "radius", radius)
+        init_field(self, "max_length", max_length)
+        init_field(self, "complete", complete)  # True when the QI lower bound rules out longer words
+        init_field(self, "qi", qi)
 
 
 def count_orbit_in_ball(sd: SchottkyData, R: float, max_length: int) -> OrbitCount:
@@ -187,13 +206,15 @@ def estimate_limit_point(
     return Boundary((lo + hi) / 2)
 
 
-@dataclass(frozen=True)
-class RadialWitness:
+class RadialWitness(Value):
     """Distances from the theta orbit points to the ray toward the limit point."""
 
-    eta: Boundary
-    constant_c: float
-    per_n: Tuple[Tuple[int, float], ...]
+    __slots__ = ("eta", "constant_c", "per_n")
+
+    def __init__(self, eta: Boundary, constant_c: float, per_n: Tuple[Tuple[int, float], ...]):
+        init_field(self, "eta", eta)
+        init_field(self, "constant_c", constant_c)
+        init_field(self, "per_n", per_n)
 
     @property
     def bounded_trend(self) -> bool:

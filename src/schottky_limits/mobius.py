@@ -17,9 +17,10 @@ ray is decided exactly. Points along a ray, for drawing, are floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Union
+
+from .value import Value, init_field
 
 
 class IdentityElement(ValueError):
@@ -34,19 +35,54 @@ class NonUnitDeterminant(ValueError):
     """Raised when matrix entries cannot be rescaled to determinant 1."""
 
 
-@dataclass(frozen=True)
-class Interior:
-    x: object  # Fraction or float
-    y: object  # > 0
+class Interior(Value):
+    """A point x + iy of the upper half-plane, y > 0.
 
-    def __post_init__(self):
-        if not self.y > 0:
+    A point given by two Fractions is exact. It is stored as one integer
+    triple (xn + i yn)/den with den > 0 and gcd(xn, yn, den) = 1, and x and
+    y are the Fractions xn/den and yn/den. Any other point keeps x and y as
+    given (floats), and its xn, yn and den are None.
+    """
+
+    __slots__ = ("xn", "yn", "den", "_x", "_y")
+    _fields = ("x", "y")
+
+    def __init__(self, x, y):
+        if not y > 0:
             raise ValueError("interior point needs y > 0")
+        if type(x) is type(y) is Fraction:
+            # x and y are in lowest terms, so their lcm denominator leaves a
+            # primitive triple
+            den = math.lcm(x.denominator, y.denominator)
+            _set_triple(
+                self, x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+            )
+        else:
+            _set_triple(self, None, None, None)
+            init_field(self, "_x", x)
+            init_field(self, "_y", y)
+
+    @property
+    def x(self):
+        return self._x if self.den is None else Fraction(self.xn, self.den)
+
+    @property
+    def y(self):
+        return self._y if self.den is None else Fraction(self.yn, self.den)
 
 
-@dataclass(frozen=True)
-class Boundary:
-    x: object
+def _set_triple(p: Interior, xn, yn, den) -> Interior:
+    init_field(p, "xn", xn)
+    init_field(p, "yn", yn)
+    init_field(p, "den", den)
+    return p
+
+
+class Boundary(Value):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        init_field(self, "x", x)
 
 
 class Infinity:
@@ -69,16 +105,16 @@ Point = Union[Interior, Boundary, Infinity]
 BASE_POINT = Interior(Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
-class GeodesicRay:
-    base: Interior
-    endpoint: Point  # Boundary or Infinity
+class GeodesicRay(Value):
+    __slots__ = ("base", "endpoint")
 
-    def __post_init__(self):
-        if not isinstance(self.base, Interior):
+    def __init__(self, base: Interior, endpoint: Point):
+        if not isinstance(base, Interior):
             raise BoundaryPoint("ray base must be interior")
-        if not isinstance(self.endpoint, (Boundary, Infinity)):
+        if not isinstance(endpoint, (Boundary, Infinity)):
             raise ValueError("ray endpoint must be on the boundary")
+        init_field(self, "base", base)
+        init_field(self, "endpoint", endpoint)  # Boundary or Infinity
 
 
 class IsometryClass:
@@ -87,13 +123,15 @@ class IsometryClass:
     LOXODROMIC = "loxodromic"
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    a: int
-    b: int
-    c: int
-    d: int
-    s: int  # sqrt(ad - bc) > 0
+class GroupElement(Value):
+    __slots__ = ("a", "b", "c", "d", "s")
+
+    def __init__(self, a: int, b: int, c: int, d: int, s: int):
+        init_field(self, "a", a)
+        init_field(self, "b", b)
+        init_field(self, "c", c)
+        init_field(self, "d", d)
+        init_field(self, "s", s)  # sqrt(ad - bc) > 0
 
     @classmethod
     def of(cls, m11, m12, m21, m22) -> "GroupElement":
@@ -183,9 +221,9 @@ def inverse(g: GroupElement) -> GroupElement:
 def apply(g: GroupElement, p: Point) -> Point:
     """Extended Mobius action z -> (a z + b)/(c z + d).
 
-    An interior point with Fraction coordinates moves on integer numerators.
+    An exact interior point moves on integers.
     """
-    if isinstance(p, Interior) and type(p.x) is type(p.y) is Fraction:
+    if isinstance(p, Interior) and p.den is not None:
         return _apply_exact(g, p)
     a, b, c, d = g.entries()
     if isinstance(p, Infinity):
@@ -204,18 +242,18 @@ def apply(g: GroupElement, p: Point) -> Point:
 
 
 def _apply_exact(g: GroupElement, p: Interior) -> Interior:
-    """g(x + iy) for x = xn/xd, y = yn/yd: with u = c x + d and v = a x + b,
-    the image is (u v + a c y^2, s^2 y) / (u^2 + c^2 y^2) in the integer
-    entries; scaling by (xd yd)^2 leaves one integer ratio per coordinate."""
+    """g(z) for z = (xn + i yn)/den: with u = c xn + d den, v = a xn + b den
+    and w = c yn, the image is (u v + a c yn^2 + i s^2 yn den) / (u^2 + w^2)
+    in the integer entries, divided by the content of the triple."""
     a, b, c, d = g.a, g.b, g.c, g.d
-    xn, xd = p.x.numerator, p.x.denominator
-    yn, yd = p.y.numerator, p.y.denominator
-    u = (c * xn + d * xd) * yd  # u xd yd
-    w = c * xd * yn  # c y xd yd
-    den = u * u + w * w
-    nx = u * (a * xn + b * xd) * yd + w * a * xd * yn
-    ny = g.s * g.s * xd * xd * yn * yd
-    return Interior(Fraction(nx, den), Fraction(ny, den))
+    xn, yn, den = p.xn, p.yn, p.den
+    u = c * xn + d * den
+    w = c * yn
+    nx = u * (a * xn + b * den) + w * a * yn
+    ny = g.s * g.s * yn * den
+    nd = u * u + w * w
+    k = math.gcd(nx, ny, nd)
+    return _set_triple(Interior.__new__(Interior), nx // k, ny // k, nd // k)
 
 
 def classify(g: GroupElement) -> str:
@@ -234,27 +272,25 @@ def hyp_dist(p: Point, q: Point) -> float:
     """Hyperbolic distance, via 2*asinh of the half chordal ratio (stable near 0)."""
     if not isinstance(p, Interior) or not isinstance(q, Interior):
         raise BoundaryPoint("hyp_dist needs interior points")
-    px, py, qx, qy = p.x, p.y, q.x, q.y
-    if type(px) is type(py) is type(qx) is type(qy) is Fraction:
+    pd, qd = p.den, q.den
+    if pd is not None and qd is not None:
         # sinh^2(d/2) as one integer ratio; int true division rounds
         # correctly, as float(Fraction) does
-        xd, yd = px.denominator * qx.denominator, py.denominator * qy.denominator
-        dx = (px.numerator * qx.denominator - qx.numerator * px.denominator) * yd
-        dy = (py.numerator * qy.denominator - qy.numerator * py.denominator) * xd
-        s2 = (dx * dx + dy * dy) / (4 * py.numerator * qy.numerator * yd * xd * xd)
+        dx = p.xn * qd - q.xn * pd
+        dy = p.yn * qd - q.yn * pd
+        s2 = (dx * dx + dy * dy) / (4 * p.yn * q.yn * pd * qd)
     else:
+        px, py, qx, qy = p.x, p.y, q.x, q.y
         dx = px - qx
         dy = py - qy
         s2 = float((dx * dx + dy * dy) / (4 * py * qy))
     return 2.0 * math.asinh(math.sqrt(s2))
 
 
-
-
-def _sq_norm(xn, xd, yn, yd, en, ed):
-    """|ed z - en|^2 (xd yd)^2 at z = xn/xd + i yn/yd."""
-    u = (ed * xn - en * xd) * yd
-    w = ed * yn * xd
+def _sq_norm(xn, yn, den, en, ed):
+    """|ed z - en|^2 den^2 at z = (xn + i yn)/den."""
+    u = ed * xn - en * den
+    w = ed * yn
     return u * u + w * w
 
 
@@ -268,33 +304,31 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
     is given by sinh d = |(x - e)(x - e') + y^2| / (|e - e'| y), the
     |(x - c)^2 + y^2 - r^2| / (2 r y) of a half-plane geodesic of centre c and
     radius r. Otherwise the distance to the base point is returned. On
-    Fraction data the test is decided exactly on integer numerators and the
-    distance is one exact rational rounded once.
+    exact data the test is decided exactly on the integer triples of the
+    points and the distance is one exact rational rounded once; other data
+    run the same formulas in floats, each point as (x, y, 1.0).
     """
     if not isinstance(p, Interior):
         raise BoundaryPoint("dist_to_ray needs an interior point")
     b, e = ray.base, ray.endpoint
-    vals = (p.x, p.y, b.x, b.y) + (() if isinstance(e, Infinity) else (e.x,))
-    exact = all(type(v) is Fraction for v in vals)
-
-    def pair(v):
-        return (v.numerator, v.denominator) if exact else (float(v), 1.0)
-
-    xn, xd = pair(p.x)
-    yn, yd = pair(p.y)
-    bn, bd = pair(b.x)
-    un, ud = pair(b.y)
-    en, ed = (1, 0) if isinstance(e, Infinity) else pair(e.x)
-    # far endpoint (|b|^2 - e bx) / (bx - e), both sides times ed
-    u2 = ud * ud
-    fn = ed * (bn * bn * u2 + un * un * bd * bd) - en * bn * bd * u2
-    fd = bd * u2 * (ed * bn - en * bd)
-    if _sq_norm(xn, xd, yn, yd, fn, fd) * _sq_norm(bn, bd, un, ud, en, ed) < (
-        _sq_norm(bn, bd, un, ud, fn, fd) * _sq_norm(xn, xd, yn, yd, en, ed)
+    ex = None if isinstance(e, Infinity) else e.x
+    if p.den is not None and b.den is not None and (ex is None or type(ex) is Fraction):
+        xn, yn, xd = p.xn, p.yn, p.den
+        bn, un, bd = b.xn, b.yn, b.den
+        en, ed = (1, 0) if ex is None else (ex.numerator, ex.denominator)
+    else:
+        xn, yn, xd = float(p.x), float(p.y), 1.0
+        bn, un, bd = float(b.x), float(b.y), 1.0
+        en, ed = (1, 0) if ex is None else (float(ex), 1.0)
+    # far endpoint (|b|^2 - e bx) / (bx - e), both sides times ed bd^2
+    fn = ed * (bn * bn + un * un) - en * bn * bd
+    fd = bd * (ed * bn - en * bd)
+    if _sq_norm(xn, yn, xd, fn, fd) * _sq_norm(bn, un, bd, en, ed) < (
+        _sq_norm(bn, un, bd, fn, fd) * _sq_norm(xn, yn, xd, en, ed)
     ):
         return hyp_dist(p, b)
-    num = (ed * xn - en * xd) * (fd * xn - fn * xd) * yd * yd + ed * fd * (yn * xd) ** 2
-    den = abs(fn * ed - en * fd) * yn * yd * xd * xd
+    num = (ed * xn - en * xd) * (fd * xn - fn * xd) + ed * fd * yn ** 2
+    den = abs(fn * ed - en * fd) * yn * xd
     return math.asinh(abs(num) / den)
 
 

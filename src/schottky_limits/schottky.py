@@ -7,7 +7,6 @@ All certification is exact rational arithmetic; tangent circles are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -21,6 +20,7 @@ from .mobius import (
     classify,
     inverse,
 )
+from .value import Value, init_field
 
 
 class EmptyWord(ValueError):
@@ -35,19 +35,19 @@ class UnboundedDiskImage(ValueError):
     """The Mobius image of the disk is not a bounded disk (pole inside)."""
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Value):
     """Half-plane circle orthogonal to the real line: real center, r > 0.
 
     The bounded side is the open half-disk {|z - center| < radius, y > 0}.
     """
 
-    center: Fraction
-    radius: Fraction
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if not self.radius > 0:
+    def __init__(self, center: Fraction, radius: Fraction):
+        if not radius > 0:
             raise ValueError("radius must be positive")
+        init_field(self, "center", center)
+        init_field(self, "radius", radius)
 
     def interval(self) -> Tuple[Fraction, Fraction]:
         return (self.center - self.radius, self.center + self.radius)
@@ -122,14 +122,24 @@ def _rational_string(value, where: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class SchottkyData:
-    gen_a: GroupElement
-    gen_b: GroupElement
-    circle_a: Circle        # a maps the exterior of circle_a ...
-    circle_a_prime: Circle  # ... onto the bounded side of circle_a_prime
-    circle_b: Circle
-    circle_b_prime: Circle
+class SchottkyData(Value):
+    __slots__ = ("gen_a", "gen_b", "circle_a", "circle_a_prime", "circle_b", "circle_b_prime")
+
+    def __init__(
+        self,
+        gen_a: GroupElement,
+        gen_b: GroupElement,
+        circle_a: Circle,        # a maps the exterior of circle_a ...
+        circle_a_prime: Circle,  # ... onto the bounded side of circle_a_prime
+        circle_b: Circle,
+        circle_b_prime: Circle,
+    ):
+        init_field(self, "gen_a", gen_a)
+        init_field(self, "gen_b", gen_b)
+        init_field(self, "circle_a", circle_a)
+        init_field(self, "circle_a_prime", circle_a_prime)
+        init_field(self, "circle_b", circle_b)
+        init_field(self, "circle_b_prime", circle_b_prime)
 
     def circles(self) -> Tuple[Circle, Circle, Circle, Circle]:
         return (self.circle_a, self.circle_a_prime, self.circle_b, self.circle_b_prime)
@@ -242,19 +252,23 @@ def default_generators() -> SchottkyData:
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    checks: Tuple[str, ...]
+class Certificate(Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Tuple[str, ...]):
+        init_field(self, "checks", checks)
 
     @property
     def certified(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Violation:
-    name: str
-    detail: str
+class Violation(Value):
+    __slots__ = ("name", "detail")
+
+    def __init__(self, name: str, detail: str):
+        init_field(self, "name", name)
+        init_field(self, "detail", detail)
 
     @property
     def certified(self) -> bool:

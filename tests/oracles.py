@@ -7,6 +7,9 @@
   needed because deep orbit points sit within 1e-100 of the boundary, far
   below float resolution.
 - Exact Fraction formulas for the integer arithmetic of the package.
+- The exact Mobius action and hyperbolic distance on Fraction numerators
+  and denominators, which the integer-triple points of mobius.Interior
+  replaced.
 - The standard-position ray geometry that the closed forms of
   mobius.dist_to_ray and mobius.points_along_ray replaced.
 - Boundary fixed points of a group element.
@@ -139,6 +142,41 @@ def frac_disk_chain(mats, lo, hi):
             assert not lo <= pole <= hi, "image is not a bounded disk"
         lo, hi = sorted((frac_mobius_boundary(m, lo), frac_mobius_boundary(m, hi)))
     return lo, hi
+
+
+# -- the Fraction-numerator action and distance that integer triples replaced --
+
+
+def ref_apply_exact(g, p):
+    """g(x + iy) for Fraction x = xn/xd, y = yn/yd, as the pair of Fractions:
+    with u = c x + d and v = a x + b, the image is (u v + a c y^2, s^2 y) /
+    (u^2 + c^2 y^2) in the integer entries; scaling by (xd yd)^2 leaves one
+    integer ratio per coordinate."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    xn, xd = p.x.numerator, p.x.denominator
+    yn, yd = p.y.numerator, p.y.denominator
+    u = (c * xn + d * xd) * yd  # u xd yd
+    w = c * xd * yn  # c y xd yd
+    den = u * u + w * w
+    nx = u * (a * xn + b * xd) * yd + w * a * xd * yn
+    ny = g.s * g.s * xd * xd * yn * yd
+    return Fraction(nx, den), Fraction(ny, den)
+
+
+def ref_hyp_dist(p, q):
+    """2 asinh of the half chordal ratio, from each coordinate's own numerator
+    and denominator when all four are Fractions, else in floats."""
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    if type(px) is type(py) is type(qx) is type(qy) is Fraction:
+        xd, yd = px.denominator * qx.denominator, py.denominator * qy.denominator
+        dx = (px.numerator * qx.denominator - qx.numerator * px.denominator) * yd
+        dy = (py.numerator * qy.denominator - qy.numerator * py.denominator) * xd
+        s2 = (dx * dx + dy * dy) / (4 * py.numerator * qy.numerator * yd * xd * xd)
+    else:
+        dx = px - qx
+        dy = py - qy
+        s2 = float((dx * dx + dy * dy) / (4 * py * qy))
+    return 2.0 * math.asinh(math.sqrt(s2))
 
 
 # -- the standard-position ray geometry that the closed forms replaced --------

@@ -55,6 +55,24 @@ class TestCertify:
         assert result.exit_code == 1
         assert json.loads(result.output)["name"] == "disks-not-disjoint"
 
+    def test_image_circle_mismatch_stdout(self, runner, tmp_path):
+        # the detail embeds the repr of both circles
+        doc = default_generators().to_json_dict()
+        doc["circles"]["C_b_prime"] = {"center": "15/2", "radius": "1/2"}
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["certify", "--input", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            '{\n'
+            '  "status": "violation",\n'
+            '  "name": "image-circle-mismatch",\n'
+            '  "detail": "gen_b maps its circle to Circle(center=Fraction(29, 4), '
+            'radius=Fraction(3, 4)), expected Circle(center=Fraction(15, 2), '
+            'radius=Fraction(1, 2))"\n'
+            '}\n'
+        )
+
     @pytest.mark.parametrize("command", ["construct", "intersect", "render"])
     def test_uncertified_input_refused(self, runner, tmp_path, command):
         doc = default_generators().to_json_dict()
@@ -127,6 +145,29 @@ class TestCertify:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("schema violation: ")
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written exits 2 with one line on stderr,
+    after the computation, instead of a traceback."""
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("args", [
+        ["certify"],
+        ["report"],
+        ["construct"],
+        ["render", "--n-max", "3"],
+        ["construct", "--tol", "1e-300"],  # the tolerance-not-reached document
+    ], ids=["certify", "report", "construct", "render", "tolerance-not-reached"])
+    def test_exit_2(self, runner, tmp_path, target, args):
+        out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("output error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
 
 RATIONAL_STRINGS = st.one_of(

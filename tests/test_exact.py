@@ -19,6 +19,7 @@ from schottky_limits.limits import (
     estimate_limit_point,
     intersect_by_matrices,
     limit_point_brackets,
+    orbit_samples,
     theta_orbit,
     theta_subgroups,
 )
@@ -46,8 +47,10 @@ from oracles import (
     frac_disk_chain,
     frac_mobius_interior,
     frac_sinh2_half,
+    ref_apply_exact,
     ref_dist_to_ray,
     ref_foot_on_ray,
+    ref_hyp_dist,
     ref_intersect_by_matrices,
     ref_point_along_ray,
 )
@@ -258,3 +261,61 @@ class TestRayGeometry:
             assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
         got = [(q.x, q.y) for q in points_along_ray(ray, RENDER_TS)]
         assert got == [ref_point_along_ray(ray, t) for t in RENDER_TS]
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the OverflowError it raises."""
+    try:
+        return f(*args)
+    except OverflowError as exc:
+        return type(exc)
+
+
+class TestIntegerTriplePoints:
+    """Exact points stored as integer triples give exactly the Fractions and
+    floats of the Fraction-numerator action and distance they replaced."""
+
+    def test_orbit_samples(self, sd):
+        samples = list(orbit_samples(sd, 8))
+        assert len(samples) == 13121
+        for s in samples:
+            assert (s.point.x, s.point.y) == ref_apply_exact(s.element, BASE_POINT)
+            assert s.displacement == ref_hyp_dist(BASE_POINT, s.point)
+
+    @pytest.mark.parametrize("seed", [2, 3, 7])
+    def test_deep_theta_orbit(self, seed):
+        sd = instance(seed)
+        fam = WordFamily(max_index=24)
+        ray = GeodesicRay(BASE_POINT, estimate_limit_point(limit_point_brackets(sd, 24), 1e-10))
+        for n, p in enumerate(theta_orbit(sd, 24), 1):
+            assert (p.x, p.y) == ref_apply_exact(word_to_element(theta(n, fam), sd), BASE_POINT)
+            # from n = 16, sinh^2(d/2) exceeds the float range in both
+            assert outcome(hyp_dist, BASE_POINT, p) == outcome(ref_hyp_dist, BASE_POINT, p)
+            assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
+
+    @pytest.mark.parametrize("base", GRID_BASES, ids=str)
+    def test_points_other_than_i(self, sd, base):
+        for s in orbit_samples(sd, 4):
+            q = apply(s.element, base)
+            assert (q.x, q.y) == ref_apply_exact(s.element, base)
+            assert hyp_dist(base, q) == ref_hyp_dist(base, q)
+            assert hyp_dist(q, s.point) == ref_hyp_dist(q, s.point)
+
+    @given(unit_det_matrices(), interior_points())
+    def test_apply_primitive_triple(self, g, p):
+        q = apply(g, p)
+        assert (q.x, q.y) == ref_apply_exact(g, p)
+        assert q.den > 0 and q.yn > 0 and math.gcd(q.xn, q.yn, q.den) == 1
+
+    def test_triple_of_fractions(self):
+        p = Interior(Fraction(1, 6), Fraction(3, 4))
+        assert (p.xn, p.yn, p.den) == (2, 9, 12)
+        assert (p.x, p.y) == (Fraction(1, 6), Fraction(3, 4))
+        assert Interior(0.5, 2.0).den is None
+
+    @given(interior_points(), interior_points())
+    def test_hyp_dist_mixed_exact_and_float(self, p, q):
+        pf, qf = Interior(float(p.x), float(p.y)), Interior(float(q.x), float(q.y))
+        half = Interior(float(p.x), p.y)  # one float coordinate: not exact
+        for a, b in ((p, q), (pf, q), (p, qf), (pf, qf), (half, q), (q, half)):
+            assert hyp_dist(a, b) == ref_hyp_dist(a, b)
