@@ -1,8 +1,15 @@
-"""Command-line entry point.
+"""Command-line entry point: `schottky-limits COMMAND [OPTIONS]`, or
+`python -m schottky_limits.cli COMMAND [OPTIONS]`.
+
+The parser is the standard library's argparse, so the command line needs no
+third-party package. Each command is the module function of the same name,
+looked up when it runs. Options are spelled out in full (no abbreviations),
+as `--opt VALUE` or `--opt=VALUE`; `--help` shows the commands or a
+command's options.
 
 Exit status: 0 when every verification in the command's scope passed,
-1 on a violation or counterexample, 2 on input errors and on an --out path
-that cannot be written.
+1 on a violation or counterexample, 2 on usage errors (with the usage on
+stderr), on input errors and on an --out path that cannot be written.
 
 Custom generators are supplied as a SchottkyData JSON document:
 
@@ -25,16 +32,19 @@ whose ping-pong certificate fails, with exit 1 and the violation on stderr.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-from typing import NoReturn, Optional
-
-import click
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from . import limits, report as report_mod
 from .freewords import PrefixFreeViolated, WordFamily, verify_free_generation
-from .render import render_svg
 from .schottky import Certificate, SchottkyData, default_generators, verify_ping_pong
+
+
+def _fail(message: str, status: int) -> NoReturn:
+    print(message, file=sys.stderr)
+    sys.exit(status)
 
 
 def _load_schottky(input_path: Optional[str]) -> SchottkyData:
@@ -46,13 +56,11 @@ def _load_schottky(input_path: Optional[str]) -> SchottkyData:
         with open(input_path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
+        _fail(f"input error: {exc}", 2)
     try:
         return SchottkyData.from_json_dict(doc)
     except ValueError as exc:
-        click.echo(f"schema violation: {exc}", err=True)
-        sys.exit(2)
+        _fail(f"schema violation: {exc}", 2)
 
 
 def _load_certified(input_path: Optional[str]) -> SchottkyData:
@@ -60,21 +68,20 @@ def _load_certified(input_path: Optional[str]) -> SchottkyData:
     sd = _load_schottky(input_path)
     verdict = verify_ping_pong(sd)
     if not isinstance(verdict, Certificate):
-        click.echo(f"violation: {verdict.name}: {verdict.detail}", err=True)
-        sys.exit(1)
+        _fail(f"violation: {verdict.name}: {verdict.detail}", 1)
     return sd
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        click.echo(f"output error: {exc}", err=True)
-        sys.exit(2)
+        _fail(f"output error: {exc}", 2)
 
 
 def _dump(doc: dict, out: Optional[str]) -> None:
@@ -86,45 +93,122 @@ def _tolerance_not_reached(exc: limits.ToleranceNotReached, out: Optional[str]) 
     sys.exit(1)
 
 
-def _positive(ctx, param, value: float) -> float:
-    # click.FloatRange lets nan through, and a nan tolerance counts as reached
+# -- options -------------------------------------------------------------------
+
+def _at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={lowest}.")
+        return value
+    return parse
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid float.") from None
+    # `not value > 0` also refuses nan, which would count as reached
     if not value > 0:
-        raise click.BadParameter("must be positive")
+        raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
-def max_index_opt(lowest: int):
-    return click.option("--max-index", default=6, show_default=True,
-                        type=click.IntRange(min=lowest),
-                        help="Largest family index for enumeration.")
+def _max_index(lowest: int):
+    return ("--max-index", dict(default=6, type=_at_least(lowest), metavar="INTEGER",
+                                help="Largest family index for enumeration. (default: 6)"))
 
 
-input_opt = click.option("--input", "input_path", type=click.Path(), default=None,
-                         help="SchottkyData JSON file (default: shipped generators).")
-out_opt = click.option("--out", "out", type=click.Path(), default=None,
-                       help="Output file (default: stdout).")
-n_max_opt = click.option("--n-max", default=12, show_default=True,
-                         type=click.IntRange(min=1),
-                         help="Depth of the theta sequence used for geometry.")
-max_syllables_opt = click.option("--max-syllables", default=3, show_default=True,
-                                 type=click.IntRange(min=1),
-                                 help="Syllable bound for exhaustive enumeration.")
-max_length_opt = click.option("--max-length", default=8, show_default=True,
-                              type=click.IntRange(min=1),
-                              help="Reduced-word length bound for orbit enumeration.")
-tol_opt = click.option("--tol", default=1e-10, show_default=True, callback=_positive,
-                       help="Bracketing tolerance for the limit point.")
+_INPUT = ("--input", dict(dest="input_path", metavar="PATH",
+                          help="SchottkyData JSON file (default: shipped generators)."))
+_OUT = ("--out", dict(metavar="PATH", help="Output file (default: stdout)."))
+_N_MAX = ("--n-max", dict(default=12, type=_at_least(1), metavar="INTEGER",
+                          help="Depth of the theta sequence used for geometry. (default: 12)"))
+_MAX_SYLLABLES = ("--max-syllables", dict(
+    default=3, type=_at_least(1), metavar="INTEGER",
+    help="Syllable bound for exhaustive enumeration. (default: 3)"))
+_MAX_LENGTH = ("--max-length", dict(
+    default=8, type=_at_least(1), metavar="INTEGER",
+    help="Reduced-word length bound for orbit enumeration. (default: 8)"))
+_TOL = ("--tol", dict(default=1e-10, type=_positive, metavar="FLOAT",
+                      help="Bracketing tolerance for the limit point. (default: 1e-10)"))
+
+#: The options of each command, in the order of its --help.
+_COMMANDS = {
+    "certify": (_INPUT, _OUT),
+    "freeness": (_max_index(1), _MAX_SYLLABLES, _OUT),
+    "construct": (_INPUT, _N_MAX, _TOL, _OUT),
+    "intersect": (_INPUT, _max_index(2), _MAX_SYLLABLES, _OUT),
+    "report": (_INPUT, _N_MAX, _max_index(2), _MAX_SYLLABLES, _MAX_LENGTH, _TOL, _OUT),
+    "render": (_INPUT, _N_MAX, _TOL, _OUT),
+}
 
 
-@click.group()
-def main():
+def _join_values(args: List[str]) -> List[str]:
+    """Each option word followed by its value, as one --opt=VALUE word: an
+    option takes the next word as its value even when it begins with '-'."""
+    flags = {flag for options in _COMMANDS.values() for flag, _ in options}
+    joined, words = [], iter(args)
+    for word in words:
+        value = next(words, None) if word in flags else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
+def _new_parser(factory, *args, **kwargs) -> argparse.ArgumentParser:
+    # only --help, as -h is no option; no abbreviated option names
+    parser = factory(*args, add_help=False, allow_abbrev=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _parsers(prog: str) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser of the command line and the parser of each command."""
+    parser = _new_parser(argparse.ArgumentParser, prog=prog, description=_Main.__doc__)
+    subparsers = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
+                                       required=True)
+    commands = {}
+    for name, options in _COMMANDS.items():
+        doc = globals()[name].__doc__
+        commands[name] = _new_parser(subparsers.add_parser, name, help=doc, description=doc)
+        for flag, kwargs in options:
+            commands[name].add_argument(flag, **kwargs)
+    return parser, commands
+
+
+class _Main:
     """Construct and verify a rank-2 Schottky group whose odd/even doubled-word
     subgroups intersect trivially while sharing a radial limit point."""
 
+    def __call__(self) -> None:
+        self.main()
 
-@main.command()
-@input_opt
-@out_opt
+    def main(self, args=None, prog_name: Optional[str] = None,
+             standalone_mode: bool = True) -> None:
+        """Run the command in args (default: sys.argv[1:]).
+
+        The keywords are those of a click command, for callers written
+        against one; every command ends with SystemExit in either mode.
+        """
+        args = sys.argv[1:] if args is None else args
+        parser, commands = _parsers(prog_name or "schottky-limits")
+        parsed, unknown = parser.parse_known_args(_join_values(args))
+        if unknown:  # with the usage of the command, not of the command line
+            commands[parsed.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+        parsed = vars(parsed)
+        globals()[parsed.pop("command")](**parsed)
+
+
+#: The console script; main.main(args, prog_name, standalone_mode) runs args.
+main = _Main()
+
+
+# -- commands ------------------------------------------------------------------
+
 def certify(input_path, out):
     """Certify the ping-pong configuration with exact arithmetic."""
     sd = _load_schottky(input_path)
@@ -133,10 +217,6 @@ def certify(input_path, out):
     sys.exit(0 if isinstance(verdict, Certificate) else 1)
 
 
-@main.command()
-@max_index_opt(1)
-@max_syllables_opt
-@out_opt
 def freeness(max_index, max_syllables, out):
     """Exhaustively verify bounded free generation of the doubled words."""
     fam = WordFamily(max_index=max_index)
@@ -160,11 +240,6 @@ def freeness(max_index, max_syllables, out):
     sys.exit(0 if rep.verified else 1)
 
 
-@main.command()
-@input_opt
-@n_max_opt
-@tol_opt
-@out_opt
 def construct(input_path, n_max, tol, out):
     """Bracket the shared limit point and report the radial witness."""
     sd = _load_certified(input_path)
@@ -176,11 +251,6 @@ def construct(input_path, n_max, tol, out):
     sys.exit(0 if radial["radial_bounded_trend"] else 1)
 
 
-@main.command()
-@input_opt
-@max_index_opt(2)
-@max_syllables_opt
-@out_opt
 def intersect(input_path, max_index, max_syllables, out):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
     sd = _load_certified(input_path)
@@ -198,14 +268,6 @@ def intersect(input_path, max_index, max_syllables, out):
     sys.exit(0 if trivial else 1)
 
 
-@main.command()
-@input_opt
-@n_max_opt
-@max_index_opt(2)
-@max_syllables_opt
-@max_length_opt
-@tol_opt
-@out_opt
 def report(input_path, n_max, max_index, max_syllables, max_length, tol, out):
     """Run the full pipeline into one construction report."""
     sd = _load_schottky(input_path)
@@ -224,13 +286,10 @@ def report(input_path, n_max, max_index, max_syllables, max_length, tol, out):
     sys.exit(0 if report_mod.report_verified(doc) else 1)
 
 
-@main.command()
-@input_opt
-@n_max_opt
-@tol_opt
-@out_opt
 def render(input_path, n_max, tol, out):
     """Emit an SVG of the construction on the Poincare disk."""
+    from .render import render_svg  # only this command loads the SVG writer
+
     sd = _load_certified(input_path)
     # eta is bracketed at depth 12 at least; the figure shows the first n_max disks
     brackets = limits.limit_point_brackets(sd, max(n_max, 12))

@@ -8,7 +8,6 @@ their inverses, and 'e' the empty word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 from .value import Value, init_field
@@ -104,17 +103,23 @@ def omega(n: int) -> Word:
     return Word(tuple([("b", 1)] * n + [("a", 1)]))
 
 
-@dataclass(frozen=True)
-class WordFamily:
-    """A candidate prefix-free family, given by an index rule and a bound."""
+class WordFamily(Value):
+    """A candidate prefix-free family, given by an index rule and a bound.
 
-    rule: Callable[[int], Word] = omega
-    max_index: int = 50
+    rule=None stands for omega, the default family b^n a; the rule is looked
+    up when a word is asked for, not held.
+    """
+
+    __slots__ = ("rule", "max_index")
+
+    def __init__(self, rule: Optional[Callable[[int], Word]] = None, max_index: int = 50):
+        init_field(self, "rule", rule)
+        init_field(self, "max_index", max_index)
 
     def word(self, n: int) -> Word:
         if not 1 <= n <= self.max_index:
             raise BadIndex(f"index {n} outside 1..{self.max_index}")
-        return self.rule(n)
+        return omega(n) if self.rule is None else self.rule(n)
 
 
 DEFAULT_FAMILY = WordFamily()
@@ -191,21 +196,35 @@ def _outer_letters_survive(left: Word, right: Word) -> bool:
     )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of the bounded free-generation check.
 
     This is bounded verification over the stated ranges, not a proof for the
     infinite family.
     """
 
-    max_index: int
-    max_syllables: int
-    words_checked: int = 0
-    pairs_checked: int = 0
-    all_nonempty: bool = True
-    outer_letters_ok: bool = True
-    counterexample: Optional[str] = None
+    __slots__ = (
+        "max_index", "max_syllables", "words_checked", "pairs_checked",
+        "all_nonempty", "outer_letters_ok", "counterexample",
+    )
+
+    def __init__(
+        self,
+        max_index: int,
+        max_syllables: int,
+        words_checked: int = 0,
+        pairs_checked: int = 0,
+        all_nonempty: bool = True,
+        outer_letters_ok: bool = True,
+        counterexample: Optional[str] = None,
+    ):
+        init_field(self, "max_index", max_index)
+        init_field(self, "max_syllables", max_syllables)
+        init_field(self, "words_checked", words_checked)
+        init_field(self, "pairs_checked", pairs_checked)
+        init_field(self, "all_nonempty", all_nonempty)
+        init_field(self, "outer_letters_ok", outer_letters_ok)
+        init_field(self, "counterexample", counterexample)
 
     @property
     def verified(self) -> bool:
@@ -289,14 +308,17 @@ def verify_free_generation(
         raise PrefixFreeViolated(
             f"family is not prefix-free up to index {fam.max_index}"
         )
-    report = VerificationReport(fam.max_index, max_syllables)
-    for syllables, letters, pairs, last_fails in _symbol_walk(fam, max_syllables):
-        report.words_checked += 1
-        report.pairs_checked += pairs
+    words = pairs = 0
+    all_nonempty = outer_letters_ok = True
+    counterexample = None
+    for syllables, letters, word_pairs, last_fails in _symbol_walk(fam, max_syllables):
+        words += 1
+        pairs += word_pairs
         if not letters:
-            report.all_nonempty = False
+            all_nonempty = False
         if last_fails:
-            report.outer_letters_ok = False
-        if (last_fails or not letters) and report.counterexample is None:
-            report.counterexample = SymbolWord(syllables).to_string()
-    return report
+            outer_letters_ok = False
+        if (last_fails or not letters) and counterexample is None:
+            counterexample = SymbolWord(syllables).to_string()
+    return VerificationReport(fam.max_index, max_syllables, words, pairs,
+                              all_nonempty, outer_letters_ok, counterexample)

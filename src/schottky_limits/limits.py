@@ -146,10 +146,13 @@ def count_orbit_in_ball(sd: SchottkyData, R: float, max_length: int) -> OrbitCou
 
 
 def _thetas(n_max: int) -> Iterator[Word]:
-    """theta_1..theta_n_max of the default family, whose omega_n = b^n a use
-    only positive letters, so that theta_n is a prefix of theta_{n+1}."""
-    fam = WordFamily(max_index=n_max)
-    return (theta(n, fam) for n in range(1, n_max + 1))
+    """theta_1..theta_n_max of the default family, as prefixes of one theta_n_max.
+
+    omega_k = b^k a uses only positive letters, so nothing cancels: theta_n
+    is the prefix of theta_{n+1} of length sum_k (2k + 2) = n(n + 3).
+    """
+    letters = theta(n_max, WordFamily(max_index=n_max)).letters
+    return (Word(letters[: n * (n + 3)]) for n in range(1, n_max + 1))
 
 
 def _theta_steps(

@@ -269,7 +269,12 @@ def classify(g: GroupElement) -> str:
 
 
 def hyp_dist(p: Point, q: Point) -> float:
-    """Hyperbolic distance, via 2*asinh of the half chordal ratio (stable near 0)."""
+    """Hyperbolic distance, via 2*asinh of the half chordal ratio (stable near 0).
+
+    On exact points whose ratio sinh^2(d/2) exceeds the float range (d above
+    about 711), d = log(4 sinh^2(d/2)) to double precision, taken as the
+    difference of the logarithms of the exact integers.
+    """
     if not isinstance(p, Interior) or not isinstance(q, Interior):
         raise BoundaryPoint("hyp_dist needs interior points")
     pd, qd = p.den, q.den
@@ -278,7 +283,11 @@ def hyp_dist(p: Point, q: Point) -> float:
         # correctly, as float(Fraction) does
         dx = p.xn * qd - q.xn * pd
         dy = p.yn * qd - q.yn * pd
-        s2 = (dx * dx + dy * dy) / (4 * p.yn * q.yn * pd * qd)
+        num, den = dx * dx + dy * dy, 4 * p.yn * q.yn * pd * qd
+        try:
+            s2 = num / den
+        except OverflowError:
+            return math.log(4 * num) - math.log(den)
     else:
         px, py, qx, qy = p.x, p.y, q.x, q.y
         dx = px - qx
@@ -305,7 +314,8 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
     |(x - c)^2 + y^2 - r^2| / (2 r y) of a half-plane geodesic of centre c and
     radius r. Otherwise the distance to the base point is returned. On
     exact data the test is decided exactly on the integer triples of the
-    points and the distance is one exact rational rounded once; other data
+    points and the distance is one exact rational rounded once (past the
+    float range, d = log(2 sinh d) from the exact integers); other data
     run the same formulas in floats, each point as (x, y, 1.0).
     """
     if not isinstance(p, Interior):
@@ -327,9 +337,12 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
         _sq_norm(bn, un, bd, fn, fd) * _sq_norm(xn, yn, xd, en, ed)
     ):
         return hyp_dist(p, b)
-    num = (ed * xn - en * xd) * (fd * xn - fn * xd) + ed * fd * yn ** 2
+    num = abs((ed * xn - en * xd) * (fd * xn - fn * xd) + ed * fd * yn ** 2)
     den = abs(fn * ed - en * fd) * yn * xd
-    return math.asinh(abs(num) / den)
+    try:
+        return math.asinh(num / den)
+    except OverflowError:  # sinh d beyond the float range: d = log(2 sinh d)
+        return math.log(2 * num) - math.log(den)
 
 
 def points_along_ray(ray: GeodesicRay, ts: Sequence[float]) -> List[Interior]:

@@ -1,12 +1,40 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
+from schottky_limits.cli import main
 from schottky_limits.freewords import Word, WordFamily
 from schottky_limits.mobius import GroupElement, Interior
 from schottky_limits.schottky import default_generators
+
+
+def invoke(args):
+    """Run the CLI in this interpreter on the argument list args, as the
+    console script would, and return what a process would have shown:
+    exit_code, stdout (and its UTF-8 stdout_bytes), stderr, output (stdout
+    then stderr) and exception (the SystemExit of a nonzero exit status, or
+    the exception that escaped the command, else None)."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=list(args), prog_name="schottky-limits")
+            exit_code = 0
+        except SystemExit as exc:
+            code = exc.code
+            exit_code = code if isinstance(code, int) else int(code is not None)
+            if exit_code:
+                exception = exc
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return SimpleNamespace(exit_code=exit_code, stdout=stdout, stdout_bytes=stdout.encode(),
+                           stderr=stderr, output=stdout + stderr, exception=exception)
 
 
 @pytest.fixture(scope="session")

@@ -333,13 +333,15 @@ def ref_verify_free_generation(fam, max_syllables):
         raise PrefixFreeViolated(
             f"family is not prefix-free up to index {fam.max_index}"
         )
-    report = VerificationReport(fam.max_index, max_syllables)
+    words = pairs = 0
+    all_nonempty = outer_letters_ok = True
+    counterexample = None
     for sw in symbol_words(fam.max_index, max_syllables):
-        report.words_checked += 1
+        words += 1
         if len(expand(sw, fam)) == 0:
-            report.all_nonempty = False
-            if report.counterexample is None:
-                report.counterexample = sw.to_string()
+            all_nonempty = False
+            if counterexample is None:
+                counterexample = sw.to_string()
         for (n1, e1), (n2, e2) in zip(sw.syllables, sw.syllables[1:]):
             if e1 == 1 and e2 == -1:
                 left = reverse(fam.word(n1))
@@ -349,12 +351,13 @@ def ref_verify_free_generation(fam, max_syllables):
                 right = fam.word(n2)
             else:
                 continue
-            report.pairs_checked += 1
+            pairs += 1
             if not _outer_letters_survive(left, right):
-                report.outer_letters_ok = False
-                if report.counterexample is None:
-                    report.counterexample = sw.to_string()
-    return report
+                outer_letters_ok = False
+                if counterexample is None:
+                    counterexample = sw.to_string()
+    return VerificationReport(fam.max_index, max_syllables, words, pairs,
+                              all_nonempty, outer_letters_ok, counterexample)
 
 
 def ref_intersect_by_matrices(g1, g2, sd):

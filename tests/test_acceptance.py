@@ -9,9 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from schottky_limits.cli import main as cli_main
 from schottky_limits.freewords import Word, WordFamily, theta, verify_free_generation
 from schottky_limits.limits import (
     count_orbit_in_ball,
@@ -46,6 +44,7 @@ from schottky_limits.schottky import (
     verify_ping_pong,
 )
 
+from conftest import invoke
 from oracles import mp_dist_to_ray_from_i
 from test_mobius import geodesic_length_oracle, sampled_ray_min
 
@@ -252,11 +251,10 @@ def test_criterion_09_discreteness_count(sd):
 
 
 def test_criterion_10_deterministic_report(tmp_path):
-    runner = CliRunner()
     args = ["report", "--out"]
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    r1 = runner.invoke(cli_main, args + [str(out1)])
-    r2 = runner.invoke(cli_main, args + [str(out2)])
+    r1 = invoke(args + [str(out1)])
+    r2 = invoke(args + [str(out2)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
@@ -287,7 +285,7 @@ def test_deep_radial_witness(sd):
     # matrices carry thousands of bits: the CLI output is pinned to the values
     # of the Fraction implementation, and depth 20 matches an oracle run at
     # the precision of the orbit point's denominator
-    result = CliRunner().invoke(cli_main, ["construct", "--n-max", "40"])
+    result = invoke(["construct", "--n-max", "40"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["eta"] == "7.40075154"

@@ -10,22 +10,16 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schottky_limits.cli import main
 from schottky_limits.schottky import CIRCLE_NAMES, SchottkyData, default_generators
 
+from conftest import invoke
 from oracles import REPORT_SCHEMA, SCHOTTKY_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUT_COMMANDS = ["certify", "construct", "intersect", "report", "render"]
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture()
@@ -36,32 +30,32 @@ def default_json(tmp_path):
 
 
 class TestCertify:
-    def test_defaults_certify(self, runner):
-        result = runner.invoke(main, ["certify"])
+    def test_defaults_certify(self):
+        result = invoke(["certify"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["status"] == "certified"
 
-    def test_custom_input(self, runner, default_json):
-        result = runner.invoke(main, ["certify", "--input", default_json])
+    def test_custom_input(self, default_json):
+        result = invoke(["certify", "--input", default_json])
         assert result.exit_code == 0
 
-    def test_overlapping_circles_exit_1(self, runner, tmp_path):
+    def test_overlapping_circles_exit_1(self, tmp_path):
         doc = default_generators().to_json_dict()
         doc["circles"]["C_b"] = doc["circles"]["C_a"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["certify", "--input", str(path)])
+        result = invoke(["certify", "--input", str(path)])
         assert result.exit_code == 1
         assert json.loads(result.output)["name"] == "disks-not-disjoint"
 
-    def test_image_circle_mismatch_stdout(self, runner, tmp_path):
+    def test_image_circle_mismatch_stdout(self, tmp_path):
         # the detail embeds the repr of both circles
         doc = default_generators().to_json_dict()
         doc["circles"]["C_b_prime"] = {"center": "15/2", "radius": "1/2"}
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["certify", "--input", str(path)])
+        result = invoke(["certify", "--input", str(path)])
         assert result.exit_code == 1
         assert result.stdout == (
             '{\n'
@@ -74,32 +68,32 @@ class TestCertify:
         )
 
     @pytest.mark.parametrize("command", ["construct", "intersect", "render"])
-    def test_uncertified_input_refused(self, runner, tmp_path, command):
+    def test_uncertified_input_refused(self, tmp_path, command):
         doc = default_generators().to_json_dict()
         doc["circles"]["C_b"] = doc["circles"]["C_a"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, [command, "--input", str(path)])
+        result = invoke([command, "--input", str(path)])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert "violation: disks-not-disjoint: " in result.stderr
 
-    def test_malformed_json_exit_2(self, runner, tmp_path):
+    def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
-        result = runner.invoke(main, ["certify", "--input", str(path)])
+        result = invoke(["certify", "--input", str(path)])
         assert result.exit_code == 2
 
-    def test_schema_violation_exit_2(self, runner, tmp_path):
+    def test_schema_violation_exit_2(self, tmp_path):
         doc = default_generators().to_json_dict()
         doc["gen_a"] = ["1", "0", "0", "2"]  # det 2, not normalizable
         path = tmp_path / "badmat.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["certify", "--input", str(path)])
+        result = invoke(["certify", "--input", str(path)])
         assert result.exit_code == 2
 
-    def test_missing_file_exit_2(self, runner):
-        result = runner.invoke(main, ["certify", "--input", "/nonexistent.json"])
+    def test_missing_file_exit_2(self):
+        result = invoke(["certify", "--input", "/nonexistent.json"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("command", INPUT_COMMANDS)
@@ -108,10 +102,10 @@ class TestCertify:
         b'{"gen_a": ' + b"1" * 5000 + b"}",  # over the 4300-digit int conversion limit
         b"[" * 100_000,  # deeper than the recursion limit
     ], ids=["not-utf8", "5000-digit-int", "deep-nesting"])
-    def test_undecodable_input_exit_2(self, runner, tmp_path, command, content):
+    def test_undecodable_input_exit_2(self, tmp_path, command, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        result = runner.invoke(main, [command, "--input", str(path)])
+        result = invoke([command, "--input", str(path)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
@@ -120,7 +114,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("command", INPUT_COMMANDS)
     @pytest.mark.parametrize("field", ["gen_a", "center"])
-    def test_zero_denominator_exit_2(self, runner, tmp_path, command, field):
+    def test_zero_denominator_exit_2(self, tmp_path, command, field):
         doc = default_generators().to_json_dict()
         if field == "gen_a":
             doc["gen_a"][1] = "1/0"
@@ -128,20 +122,20 @@ class TestCertify:
             doc["circles"]["C_a"]["center"] = "1/0"
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, [command, "--input", str(path)])
+        result = invoke([command, "--input", str(path)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
         assert result.stderr == "schema violation: zero denominator in '1/0'\n"
 
     @pytest.mark.parametrize("value", ["1" * 3000, "1e20000"])
-    def test_oversized_rational_exit_2(self, runner, tmp_path, value):
+    def test_oversized_rational_exit_2(self, tmp_path, value):
         # violation details print exact rationals; str() refuses ints over 4300 digits
         doc = default_generators().to_json_dict()
         doc["circles"]["C_a"]["center"] = value
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["certify", "--input", str(path)])
+        result = invoke(["certify", "--input", str(path)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("schema violation: ")
@@ -159,9 +153,9 @@ class TestUnwritableOut:
         ["render", "--n-max", "3"],
         ["construct", "--tol", "1e-300"],  # the tolerance-not-reached document
     ], ids=["certify", "report", "construct", "render", "tolerance-not-reached"])
-    def test_exit_2(self, runner, tmp_path, target, args):
+    def test_exit_2(self, tmp_path, target, args):
         out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
-        result = runner.invoke(main, args + ["--out", str(out)])
+        result = invoke(args + ["--out", str(out)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
@@ -215,7 +209,7 @@ class TestInputFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "doc.json"
             path.write_text(json.dumps(doc))
-            result = CliRunner().invoke(main, ["certify", "--input", str(path)])
+            result = invoke(["certify", "--input", str(path)])
         assert result.exit_code in (0, 1, 2)
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
@@ -257,16 +251,15 @@ class TestFlagFuzz:
     @given(flag_invocations())
     @settings(max_examples=150, deadline=None)
     def test_flags_exit_cleanly(self, args):
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code in (0, 1, 2)
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
 
 
 class TestFreeness:
-    def test_small_run(self, runner):
-        result = runner.invoke(
-            main, ["freeness", "--max-index", "3", "--max-syllables", "3"]
+    def test_small_run(self):
+        result = invoke(["freeness", "--max-index", "3", "--max-syllables", "3"]
         )
         assert result.exit_code == 0
         doc = json.loads(result.output)
@@ -276,8 +269,8 @@ class TestFreeness:
 
 
 class TestConstruct:
-    def test_radial_witness(self, runner):
-        result = runner.invoke(main, ["construct", "--n-max", "10"])
+    def test_radial_witness(self):
+        result = invoke(["construct", "--n-max", "10"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["radial_bounded_trend"] is True
@@ -285,9 +278,8 @@ class TestConstruct:
 
 
 class TestIntersect:
-    def test_trivial_intersection(self, runner):
-        result = runner.invoke(
-            main, ["intersect", "--max-index", "4", "--max-syllables", "2"]
+    def test_trivial_intersection(self):
+        result = invoke(["intersect", "--max-index", "4", "--max-syllables", "2"]
         )
         assert result.exit_code == 0
         doc = json.loads(result.output)
@@ -303,31 +295,31 @@ class TestReport:
             "--max-syllables", "2", "--max-length", "5",
         ]
 
-    def test_full_pipeline(self, runner, small_args, tmp_path):
+    def test_full_pipeline(self, small_args, tmp_path):
         out = tmp_path / "report.json"
-        result = runner.invoke(main, small_args + ["--out", str(out)])
+        result = invoke(small_args + ["--out", str(out)])
         assert result.exit_code == 0
         doc = json.loads(out.read_text())
         assert doc["intersection"] == ["e"]
         jsonschema.validate(doc, REPORT_SCHEMA)
 
-    def test_deterministic_bytes(self, runner, small_args, tmp_path):
+    def test_deterministic_bytes(self, small_args, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        runner.invoke(main, small_args + ["--out", str(out1)])
-        runner.invoke(main, small_args + ["--out", str(out2)])
+        invoke(small_args + ["--out", str(out1)])
+        invoke(small_args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_twelve_significant_digits(self, runner, small_args):
-        result = runner.invoke(main, small_args)
+    def test_twelve_significant_digits(self, small_args):
+        result = invoke(small_args)
         doc = json.loads(result.output)
         assert re.fullmatch(r"-?\d+\.\d+", doc["eta"])
         assert len(doc["eta"].replace(".", "").replace("-", "").lstrip("0")) <= 12
 
 
 class TestRender:
-    def test_svg_element_counts(self, runner, tmp_path):
+    def test_svg_element_counts(self, tmp_path):
         out = tmp_path / "fig.svg"
-        result = runner.invoke(main, ["render", "--n-max", "8", "--out", str(out)])
+        result = invoke(["render", "--n-max", "8", "--out", str(out)])
         assert result.exit_code == 0
         svg = out.read_text()
         assert svg.startswith("<?xml")
@@ -335,15 +327,15 @@ class TestRender:
         assert svg.count('class="schottky"') == 4
         assert svg.count('class="orbit"') == 8
 
-    def test_tolerance_not_reached(self, runner):
-        result = runner.invoke(main, ["render", "--tol", "1e-300"])
+    def test_tolerance_not_reached(self):
+        result = invoke(["render", "--tol", "1e-300"])
         assert result.exit_code == 1
         doc = json.loads(result.stdout)
         assert doc["status"] == "tolerance-not-reached"
         assert "after 12 prefixes" in doc["detail"]
 
-    def test_rejects_json_format(self, runner):
-        result = runner.invoke(main, ["render", "--format", "json"])
+    def test_rejects_json_format(self):
+        result = invoke(["render", "--format", "json"])
         assert result.exit_code == 2
 
 
@@ -359,14 +351,14 @@ class TestBounds:
         ["report", "--max-length", "0"],
         ["render", "--n-max", "0"],
     ])
-    def test_out_of_range_exit_2(self, runner, args):
-        result = runner.invoke(main, args)
+    def test_out_of_range_exit_2(self, args):
+        result = invoke(args)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
 
-    def test_report_tolerance_not_reached(self, runner):
-        result = runner.invoke(main, [
+    def test_report_tolerance_not_reached(self):
+        result = invoke([
             "report", "--n-max", "1", "--max-index", "2",
             "--max-syllables", "1", "--max-length", "1",
         ])
@@ -376,28 +368,91 @@ class TestBounds:
         assert "bracket width" in doc["detail"]
 
 
+
+#: every option of each command
+OPTIONS = {
+    "certify": ["--input", "--out"],
+    "freeness": ["--max-index", "--max-syllables", "--out"],
+    "construct": ["--input", "--n-max", "--tol", "--out"],
+    "intersect": ["--input", "--max-index", "--max-syllables", "--out"],
+    "report": ["--input", "--n-max", "--max-index", "--max-syllables", "--max-length",
+               "--tol", "--out"],
+    "render": ["--input", "--n-max", "--tol", "--out"],
+}
+
+
+class TestUsage:
+    """What the command line accepts and how it refuses the rest: help on
+    stdout with exit 0, and usage errors with exit 2, nothing on stdout and
+    no traceback."""
+
+    def test_main_help_lists_every_command(self):
+        result = invoke(["--help"])
+        assert result.exit_code == 0 and result.exception is None
+        for command in OPTIONS:
+            assert command in result.stdout
+        assert "--help" in result.stdout
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_help_lists_every_option(self, command):
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0 and result.exception is None
+        for option in OPTIONS[command] + ["--help"]:
+            assert option in result.stdout
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["frobnicate"],
+        ["certify", "--bogus"],
+        ["construct", "--n-max"],
+        ["construct", "--n-m", "3"],
+        ["report", "--max-len", "3"],
+        ["certify", "-h"],
+        ["certify", "extra"],
+    ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
+            "abbreviated-option", "abbreviated-report-option", "short-help", "extra-argument"])
+    def test_usage_error_exit_2(self, args):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr
+        assert "Traceback" not in result.output
+
+    def test_value_may_begin_with_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-x.json").write_text(default_generators().to_json())
+        result = invoke(["certify", "--input", "-x.json"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["status"] == "certified"
+
+    def test_equals_form_accepted(self):
+        joined = invoke(["construct", "--n-max=3"])
+        split = invoke(["construct", "--n-max", "3"])
+        assert joined.exit_code == split.exit_code == 0
+        assert joined.stdout == split.stdout
+
 class TestSinglePath:
     """The subcommands and the report compute each verdict the same way."""
 
     @pytest.fixture()
-    def small_report(self, runner):
-        result = runner.invoke(main, [
+    def small_report(self):
+        result = invoke([
             "report", "--n-max", "6", "--max-index", "4",
             "--max-syllables", "2", "--max-length", "3",
         ])
         assert result.exit_code == 0
         return json.loads(result.output)
 
-    def test_construct_matches_report(self, runner, small_report):
-        result = runner.invoke(main, ["construct", "--n-max", "6"])
+    def test_construct_matches_report(self, small_report):
+        result = invoke(["construct", "--n-max", "6"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc.pop("status") == "ok"
         assert doc == {k: small_report[k] for k in doc}
 
-    def test_intersect_matches_report(self, runner, small_report):
-        result = runner.invoke(
-            main, ["intersect", "--max-index", "4", "--max-syllables", "2"]
+    def test_intersect_matches_report(self, small_report):
+        result = invoke(["intersect", "--max-index", "4", "--max-syllables", "2"]
         )
         assert result.exit_code == 0
         doc = json.loads(result.output)
@@ -495,10 +550,10 @@ class TestSchemas:
 
     @pytest.mark.parametrize("doc", [[], "x", shipped_with(["circles"], None),
                                      shipped_with(["gen_b", 3], "1" * 201)])
-    def test_cli_reports_one_line(self, runner, tmp_path, doc):
+    def test_cli_reports_one_line(self, tmp_path, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["certify", "--input", str(path)])
+        result = invoke(["certify", "--input", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert re.fullmatch(r"schema violation: [^\n]+\n", result.stderr)
@@ -521,6 +576,26 @@ class TestStartupImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"[]\n"
+
+    def test_cli_imports_only_what_it_needs(self):
+        # no third-party parser, no dataclass machinery (dataclasses pulls in
+        # inspect), and the SVG writer only in the render command
+        proc = run_python(
+            "import schottky_limits.cli, sys; print(sorted(m for m in sys.modules if m in"
+            " {'click', 'dataclasses', 'inspect', 'schottky_limits.render'}))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
+
+    def test_cli_runs_without_third_party_packages(self, default_json):
+        # -S skips site-packages, -E the environment; the package is put on the path by hand
+        code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+                "from schottky_limits.cli import main; main()")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-E", "-c", code, str(ROOT / "src"), "certify",
+             "--input", default_json], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "certified"
 
     @pytest.mark.parametrize("args", [
         ["certify"],

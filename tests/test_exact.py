@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -44,9 +45,11 @@ from schottky_limits.schottky import (
 
 from conftest import interior_points, rationals, unit_det_matrices, words
 from oracles import (
+    _mpf,
     frac_disk_chain,
     frac_mobius_interior,
     frac_sinh2_half,
+    mp_hyp_dist,
     ref_apply_exact,
     ref_dist_to_ray,
     ref_foot_on_ray,
@@ -263,6 +266,14 @@ class TestRayGeometry:
         assert got == [ref_point_along_ray(ray, t) for t in RENDER_TS]
 
 
+def mp_distance(p, q):
+    """The hyperbolic distance of two exact points, with 50 digits beyond
+    those of their coordinates' denominators."""
+    coords = (p.x, p.y, q.x, q.y)
+    with mpmath.workdps(50 + max(v.denominator for v in coords).bit_length() * 3 // 10):
+        return float(mp_hyp_dist((_mpf(p.x), _mpf(p.y)), (_mpf(q.x), _mpf(q.y))))
+
+
 def outcome(f, *args):
     """f(*args), or the type of the OverflowError it raises."""
     try:
@@ -289,9 +300,30 @@ class TestIntegerTriplePoints:
         ray = GeodesicRay(BASE_POINT, estimate_limit_point(limit_point_brackets(sd, 24), 1e-10))
         for n, p in enumerate(theta_orbit(sd, 24), 1):
             assert (p.x, p.y) == ref_apply_exact(word_to_element(theta(n, fam), sd), BASE_POINT)
-            # from n = 16, sinh^2(d/2) exceeds the float range in both
-            assert outcome(hyp_dist, BASE_POINT, p) == outcome(ref_hyp_dist, BASE_POINT, p)
+            # from n = 16, sinh^2(d/2) exceeds the float range and the
+            # reference formula overflows; there d is checked against mpmath
+            expected = outcome(ref_hyp_dist, BASE_POINT, p)
+            assert (expected is OverflowError) == (n >= 16)
+            if n < 16:
+                assert hyp_dist(BASE_POINT, p) == expected
+            else:
+                assert hyp_dist(BASE_POINT, p) == pytest.approx(mp_distance(BASE_POINT, p), rel=1e-12)
             assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
+
+    def test_distances_past_the_float_range(self, sd):
+        # theta_40(i) lies at d ~ 3950, where sinh^2(d/2) ~ 10^1715
+        orbit = theta_orbit(sd, 40)
+        for p in orbit[15:]:
+            assert hyp_dist(BASE_POINT, p) == pytest.approx(mp_distance(BASE_POINT, p), rel=1e-12)
+            assert hyp_dist(p, BASE_POINT) == hyp_dist(BASE_POINT, p)
+        assert hyp_dist(orbit[39], orbit[38]) == pytest.approx(mp_distance(orbit[39], orbit[38]),
+                                                               rel=1e-12)
+        # a foot on the ray [i, 0) with sinh d = 10^400 / 2
+        far = Interior(Fraction(1, 2), Fraction(1, 10**400))
+        ray = GeodesicRay(BASE_POINT, Boundary(Fraction(0)))
+        with mpmath.workdps(50):
+            expected = float(mpmath.asinh(mpmath.mpf(10) ** 400 / 2))
+        assert dist_to_ray(far, ray) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("base", GRID_BASES, ids=str)
     def test_points_other_than_i(self, sd, base):

@@ -4,9 +4,7 @@ perfbench/golden/ byte for byte (the files are only read here)."""
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from schottky_limits.cli import main
+from conftest import invoke
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -18,6 +16,6 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
     (["intersect", "--max-index", "6", "--max-syllables", "3"], "intersect.json"),
 ])
 def test_stdout_matches_golden(args, name):
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0
     assert result.stdout_bytes == (GOLDEN / name).read_bytes()

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from schottky_limits.freewords import EMPTY, Word, theta
+from schottky_limits.freewords import EMPTY, Word, WordFamily, theta
 from schottky_limits.limits import (
     ToleranceNotReached,
+    _thetas,
     count_orbit_in_ball,
     enumerate_subgroup,
     estimate_limit_point,
@@ -106,6 +107,12 @@ class TestCountOrbitInBall:
 
 
 class TestLimitPoint:
+    @pytest.mark.parametrize("n_max", [1, 2, 40])
+    def test_theta_prefixes_are_theta(self, n_max):
+        # the prefixes of one theta_n_max, of length n(n + 3), are theta_1..theta_n_max
+        fam = WordFamily(max_index=n_max)
+        assert list(_thetas(n_max)) == [theta(n, fam) for n in range(1, n_max + 1)]
+
     def test_brackets_nested_and_shrinking(self, sd):
         brackets = limit_point_brackets(sd, 10)
         for (lo1, hi1), (lo2, hi2) in zip(brackets, brackets[1:]):

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from schottky_limits.freewords import EMPTY, SymbolWord, Word
+from schottky_limits.freewords import (
+    EMPTY,
+    SymbolWord,
+    VerificationReport,
+    Word,
+    WordFamily,
+    omega,
+)
 from schottky_limits.limits import OrbitCount, OrbitSample, QIEstimate, RadialWitness
 from schottky_limits.mobius import (
     BASE_POINT,
@@ -39,6 +46,11 @@ FIELDS = {
     GeodesicRay: ("base", "endpoint"),
     Word: ("letters",),
     SymbolWord: ("syllables",),
+    WordFamily: ("rule", "max_index"),
+    VerificationReport: (
+        "max_index", "max_syllables", "words_checked", "pairs_checked", "all_nonempty",
+        "outer_letters_ok", "counterexample",
+    ),
     OrbitSample: ("word", "element", "point", "displacement"),
     Circle: ("center", "radius"),
     SchottkyData: (
@@ -71,6 +83,10 @@ SAMPLES = [
     QI,
     OrbitCount(12, 5.0, 8, True, QI),
     RadialWitness(Boundary(F(5, 2)), 3.5, ((1, 3.25), (2, 3.5))),
+    WordFamily(None, 6),
+    WordFamily(omega, 12),
+    VerificationReport(6, 4, 17568, 30240, True, True, None),
+    VerificationReport(3, 2, 40, 18, True, False, "S1.S2^-1"),
 ]
 IDS = [f"{type(v).__name__}-{i}" for i, v in enumerate(SAMPLES)]
 
@@ -132,6 +148,8 @@ def test_interior_float_equals_fraction():
 def test_defaults():
     assert Word() == EMPTY and Word().letters == ()
     assert SymbolWord().syllables == ()
+    assert WordFamily() == WordFamily(None, 50)
+    assert VerificationReport(3, 2) == VerificationReport(3, 2, 0, 0, True, True, None)
     qi = QIEstimate(1.0, 0.0, 2.0, 0.0, 3)
     assert qi.lower_witness == qi.upper_witness == EMPTY
 
