@@ -43,7 +43,6 @@ from .schottky import (
 from .limits import (
     QIEstimate,
     RadialWitness,
-    count_orbit_in_ball,
     enumerate_subgroup,
     estimate_limit_point,
     intersect_subgroups,

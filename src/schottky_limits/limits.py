@@ -1,6 +1,6 @@
-"""Orbit geometry of the Schottky group: bounded enumeration, discreteness
-counting, limit-point bracketing for the theta sequence, radial certification,
-quasi-isometry envelopes, and bounded subgroup intersection.
+"""Orbit geometry of the Schottky group: bounded enumeration, limit-point
+bracketing for the theta sequence, radial certification, quasi-isometry
+envelopes, and bounded subgroup intersection.
 
 All verdicts here are bounded-depth evidence at the stated ranges, never
 claims about the infinite group.
@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
-from .freewords import EMPTY, Word, WordFamily, _join, reduce, theta
+from .freewords import Word, WordFamily, _join, reduce, theta
 from .mobius import (
     BASE_POINT,
     Boundary,
@@ -72,10 +72,7 @@ class QIEstimate(Value):
     """Affine envelopes lower_alpha*|w| - lower_beta <= displacement(w)
     <= upper_alpha*|w| + upper_beta over all reduced words up to max_length."""
 
-    __slots__ = (
-        "lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length",
-        "lower_witness", "upper_witness",
-    )
+    __slots__ = ("lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length")
 
     def __init__(
         self,
@@ -84,16 +81,12 @@ class QIEstimate(Value):
         upper_alpha: float,
         upper_beta: float,
         max_length: int,
-        lower_witness: Word = EMPTY,
-        upper_witness: Word = EMPTY,
     ):
         init_field(self, "lower_alpha", lower_alpha)
         init_field(self, "lower_beta", lower_beta)
         init_field(self, "upper_alpha", upper_alpha)
         init_field(self, "upper_beta", upper_beta)
         init_field(self, "max_length", max_length)
-        init_field(self, "lower_witness", lower_witness)
-        init_field(self, "upper_witness", upper_witness)
 
 
 def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
@@ -103,46 +96,9 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     (displacement 0 at length 0); the slopes are the extreme displacement
     per letter over all nonempty reduced words.
     """
-    lower, upper = math.inf, 0.0
-    lower_w = upper_w = EMPTY
-    for s in orbit_samples(sd, max_length):
-        n = len(s.word)
-        if n == 0:
-            continue
-        ratio = s.displacement / n
-        if ratio < lower:
-            lower, lower_w = ratio, s.word
-        if ratio > upper:
-            upper, upper_w = ratio, s.word
-    return QIEstimate(lower, 0.0, upper, 0.0, max_length, lower_w, upper_w)
-
-
-class OrbitCount(Value):
-    """Count of orbit points inside a hyperbolic ball around the base point."""
-
-    __slots__ = ("count", "radius", "max_length", "complete", "qi")
-
-    def __init__(self, count: int, radius: float, max_length: int, complete: bool, qi: QIEstimate):
-        init_field(self, "count", count)
-        init_field(self, "radius", radius)
-        init_field(self, "max_length", max_length)
-        init_field(self, "complete", complete)  # True when the QI lower bound rules out longer words
-        init_field(self, "qi", qi)
-
-
-def count_orbit_in_ball(sd: SchottkyData, R: float, max_length: int) -> OrbitCount:
-    """Count reduced words of length <= max_length with displacement <= R.
-
-    The count is flagged complete when the fitted lower envelope forces every
-    word of length max_length + 1 outside the ball; otherwise it is returned
-    flagged partial.
-    """
-    if R <= 0:
-        raise ValueError("ball radius must be positive")
-    qi = qi_check(sd, max_length)
-    count = sum(1 for s in orbit_samples(sd, max_length) if s.displacement <= R)
-    certified = qi.lower_alpha * (max_length + 1) - qi.lower_beta > R
-    return OrbitCount(count, R, max_length, certified, qi)
+    ratios = [s.displacement / n for s in orbit_samples(sd, max_length) if (n := len(s.word))]
+    lower, upper = min(ratios, default=math.inf), max(ratios, default=0.0)
+    return QIEstimate(lower, 0.0, upper, 0.0, max_length)
 
 
 def _thetas(n_max: int) -> Iterator[Word]:

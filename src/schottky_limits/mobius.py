@@ -4,14 +4,17 @@ PSL(2,R) acts projectively, so a group element is stored as a primitive
 integer matrix (a, b, c, d): divided by the gcd of its entries, with its
 first nonzero entry positive, together with s = sqrt(ad - bc). This form is
 canonical, so data equality decides equality in PSL(2,R), and its det-1
-entries are the Fractions a/s, b/s, c/s, d/s. Products, inverses and the
-action on exact points run on integer numerators, and everything algebraic
-stays exact. Distances on exact points use the closed forms of the
-half-plane metric (Beardon, The Geometry of Discrete Groups, ch. 7): the
-distance between two points and the distance to a geodesic ray are each one
-exact rational of integer numerators, rounded to a float once, before the
-final square root or asinh; whether the foot of the perpendicular lies on the
-ray is decided exactly. Points along a ray, for drawing, are floats.
+entries are the Fractions a/s, b/s, c/s, d/s. Every point is exact: an
+interior point is one primitive integer triple and a boundary point one
+Fraction, and a float coordinate is read at its exact binary value.
+Products, inverses and the action run on integer numerators, and everything
+algebraic stays exact. Distances use the closed forms of the half-plane
+metric (Beardon, The Geometry of Discrete Groups, ch. 7): the distance
+between two points and the distance to a geodesic ray are each one exact
+rational of integer numerators, rounded to a float once, before the final
+square root or asinh; whether the foot of the perpendicular lies on the ray
+is decided exactly. Besides those distances, the only floats are the points
+along a ray for drawing, which are complex numbers.
 """
 
 from __future__ import annotations
@@ -38,40 +41,43 @@ class NonUnitDeterminant(ValueError):
 class Interior(Value):
     """A point x + iy of the upper half-plane, y > 0.
 
-    A point given by two Fractions is exact. It is stored as one integer
-    triple (xn + i yn)/den with den > 0 and gcd(xn, yn, den) = 1, and x and
-    y are the Fractions xn/den and yn/den. Any other point keeps x and y as
-    given (floats), and its xn, yn and den are None.
+    It is stored as one integer triple (xn + i yn)/den with den > 0 and
+    gcd(xn, yn, den) = 1, and x and y are the Fractions xn/den and yn/den.
+    The coordinates may be given as any rationals; a float is taken at its
+    exact binary value, and a non-finite one raises ValueError.
     """
 
-    __slots__ = ("xn", "yn", "den", "_x", "_y")
+    __slots__ = ("xn", "yn", "den")
     _fields = ("x", "y")
 
     def __init__(self, x, y):
+        x, y = _exact(x), _exact(y)
         if not y > 0:
             raise ValueError("interior point needs y > 0")
-        if type(x) is type(y) is Fraction:
-            # x and y are in lowest terms, so their lcm denominator leaves a
-            # primitive triple
-            den = math.lcm(x.denominator, y.denominator)
-            _set_triple(
-                self, x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
-            )
-        else:
-            _set_triple(self, None, None, None)
-            init_field(self, "_x", x)
-            init_field(self, "_y", y)
+        # x and y are in lowest terms, so their lcm denominator leaves a
+        # primitive triple
+        den = math.lcm(x.denominator, y.denominator)
+        _set_triple(
+            self, x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+        )
 
     @property
-    def x(self):
-        return self._x if self.den is None else Fraction(self.xn, self.den)
+    def x(self) -> Fraction:
+        return Fraction(self.xn, self.den)
 
     @property
-    def y(self):
-        return self._y if self.den is None else Fraction(self.yn, self.den)
+    def y(self) -> Fraction:
+        return Fraction(self.yn, self.den)
 
 
-def _set_triple(p: Interior, xn, yn, den) -> Interior:
+def _exact(v) -> Fraction:
+    """v as a Fraction; a float is taken at its exact binary value."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"coordinate {v} is not finite")
+    return Fraction(v)
+
+
+def _set_triple(p: Interior, xn: int, yn: int, den: int) -> Interior:
     init_field(p, "xn", xn)
     init_field(p, "yn", yn)
     init_field(p, "den", den)
@@ -79,10 +85,13 @@ def _set_triple(p: Interior, xn, yn, den) -> Interior:
 
 
 class Boundary(Value):
+    """A real point x of the boundary, stored as a Fraction; a float is taken
+    at its exact binary value, and a non-finite one raises ValueError."""
+
     __slots__ = ("x",)
 
     def __init__(self, x):
-        init_field(self, "x", x)
+        init_field(self, "x", _exact(x))
 
 
 class Infinity:
@@ -219,41 +228,29 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def apply(g: GroupElement, p: Point) -> Point:
-    """Extended Mobius action z -> (a z + b)/(c z + d).
+    """Extended Mobius action z -> (a z + b)/(c z + d), on the integer entries.
 
-    An exact interior point moves on integers.
+    An interior point z = (xn + i yn)/den moves to
+    (u v + a c yn^2 + i s^2 yn den) / (u^2 + w^2), with u = c xn + d den,
+    v = a xn + b den and w = c yn, divided by the content of the triple. A
+    boundary point n/m, with Infinity as 1/0, moves to
+    (a n + b m)/(c n + d m), which is Infinity where c n + d m = 0.
     """
-    if isinstance(p, Interior) and p.den is not None:
-        return _apply_exact(g, p)
-    a, b, c, d = g.entries()
-    if isinstance(p, Infinity):
-        if c == 0:
-            return INFINITY
-        return Boundary(a / c)
-    if isinstance(p, Boundary):
-        den = c * p.x + d
-        if den == 0:
-            return INFINITY
-        return Boundary((a * p.x + b) / den)
-    x, y = p.x, p.y
-    den = (c * x + d) ** 2 + (c * y) ** 2
-    nx = (a * x + b) * (c * x + d) + a * c * y * y
-    return Interior(nx / den, y / den)
-
-
-def _apply_exact(g: GroupElement, p: Interior) -> Interior:
-    """g(z) for z = (xn + i yn)/den: with u = c xn + d den, v = a xn + b den
-    and w = c yn, the image is (u v + a c yn^2 + i s^2 yn den) / (u^2 + w^2)
-    in the integer entries, divided by the content of the triple."""
     a, b, c, d = g.a, g.b, g.c, g.d
-    xn, yn, den = p.xn, p.yn, p.den
-    u = c * xn + d * den
-    w = c * yn
-    nx = u * (a * xn + b * den) + w * a * yn
-    ny = g.s * g.s * yn * den
-    nd = u * u + w * w
-    k = math.gcd(nx, ny, nd)
-    return _set_triple(Interior.__new__(Interior), nx // k, ny // k, nd // k)
+    if isinstance(p, Interior):
+        xn, yn, den = p.xn, p.yn, p.den
+        u = c * xn + d * den
+        w = c * yn
+        nx = u * (a * xn + b * den) + w * a * yn
+        ny = g.s * g.s * yn * den
+        nd = u * u + w * w
+        k = math.gcd(nx, ny, nd)
+        return _set_triple(Interior.__new__(Interior), nx // k, ny // k, nd // k)
+    n, m = (1, 0) if isinstance(p, Infinity) else (p.x.numerator, p.x.denominator)
+    den = c * n + d * m
+    if den == 0:
+        return INFINITY
+    return Boundary(Fraction(a * n + b * m, den))
 
 
 def classify(g: GroupElement) -> str:
@@ -269,30 +266,25 @@ def classify(g: GroupElement) -> str:
 
 
 def hyp_dist(p: Point, q: Point) -> float:
-    """Hyperbolic distance, via 2*asinh of the half chordal ratio (stable near 0).
+    """Hyperbolic distance 2 asinh sqrt(s2) (stable near 0), where the half
+    chordal ratio s2 = sinh^2(d/2) = |p - q|^2 / (4 Im p Im q) is one ratio
+    of integers of the two triples, rounded to a float once.
 
-    On exact points whose ratio sinh^2(d/2) exceeds the float range (d above
-    about 711), d = log(4 sinh^2(d/2)) to double precision, taken as the
-    difference of the logarithms of the exact integers.
+    Where s2 exceeds the float range (d above about 711),
+    d = log(4 sinh^2(d/2)) to double precision, taken as the difference of
+    the logarithms of the exact integers.
     """
     if not isinstance(p, Interior) or not isinstance(q, Interior):
         raise BoundaryPoint("hyp_dist needs interior points")
     pd, qd = p.den, q.den
-    if pd is not None and qd is not None:
-        # sinh^2(d/2) as one integer ratio; int true division rounds
-        # correctly, as float(Fraction) does
-        dx = p.xn * qd - q.xn * pd
-        dy = p.yn * qd - q.yn * pd
-        num, den = dx * dx + dy * dy, 4 * p.yn * q.yn * pd * qd
-        try:
-            s2 = num / den
-        except OverflowError:
-            return math.log(4 * num) - math.log(den)
-    else:
-        px, py, qx, qy = p.x, p.y, q.x, q.y
-        dx = px - qx
-        dy = py - qy
-        s2 = float((dx * dx + dy * dy) / (4 * py * qy))
+    dx = p.xn * qd - q.xn * pd
+    dy = p.yn * qd - q.yn * pd
+    num, den = dx * dx + dy * dy, 4 * p.yn * q.yn * pd * qd
+    # int true division rounds correctly, as float(Fraction) does
+    try:
+        s2 = num / den
+    except OverflowError:
+        return math.log(4 * num) - math.log(den)
     return 2.0 * math.asinh(math.sqrt(s2))
 
 
@@ -312,24 +304,17 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
     |z - e'| |b - e| >= |b - e'| |z - e|; then the distance to the geodesic
     is given by sinh d = |(x - e)(x - e') + y^2| / (|e - e'| y), the
     |(x - c)^2 + y^2 - r^2| / (2 r y) of a half-plane geodesic of centre c and
-    radius r. Otherwise the distance to the base point is returned. On
-    exact data the test is decided exactly on the integer triples of the
-    points and the distance is one exact rational rounded once (past the
-    float range, d = log(2 sinh d) from the exact integers); other data
-    run the same formulas in floats, each point as (x, y, 1.0).
+    radius r. Otherwise the distance to the base point is returned. The
+    test is decided exactly on the integer triples of the points, and the
+    distance is one exact rational rounded once (past the float range,
+    d = log(2 sinh d) from the exact integers).
     """
     if not isinstance(p, Interior):
         raise BoundaryPoint("dist_to_ray needs an interior point")
     b, e = ray.base, ray.endpoint
-    ex = None if isinstance(e, Infinity) else e.x
-    if p.den is not None and b.den is not None and (ex is None or type(ex) is Fraction):
-        xn, yn, xd = p.xn, p.yn, p.den
-        bn, un, bd = b.xn, b.yn, b.den
-        en, ed = (1, 0) if ex is None else (ex.numerator, ex.denominator)
-    else:
-        xn, yn, xd = float(p.x), float(p.y), 1.0
-        bn, un, bd = float(b.x), float(b.y), 1.0
-        en, ed = (1, 0) if ex is None else (float(ex), 1.0)
+    xn, yn, xd = p.xn, p.yn, p.den
+    bn, un, bd = b.xn, b.yn, b.den
+    en, ed = (1, 0) if isinstance(e, Infinity) else (e.x.numerator, e.x.denominator)
     # far endpoint (|b|^2 - e bx) / (bx - e), both sides times ed bd^2
     fn = ed * (bn * bn + un * un) - en * bn * bd
     fd = bd * (ed * bn - en * bd)
@@ -345,8 +330,9 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
         return math.log(2 * num) - math.log(den)
 
 
-def points_along_ray(ray: GeodesicRay, ts: Sequence[float]) -> List[Interior]:
-    """The points at hyperbolic distances ts from the base along the ray.
+def points_along_ray(ray: GeodesicRay, ts: Sequence[float]) -> List[complex]:
+    """The points at hyperbolic distances ts from the base along the ray, as
+    float complex numbers x + iy for drawing.
 
     g(z) = (z - e')/(z - e), with a row (0, 1) for an endpoint at Infinity,
     sends the ray onto the imaginary axis upward from the height h of g(b);
@@ -377,5 +363,5 @@ def points_along_ray(ray: GeodesicRay, ts: Sequence[float]) -> List[Interior]:
     for t in ts:
         y = h * math.exp(t)
         den = fd2 + (fc * y) ** 2
-        points.append(Interior((fbd + fac * y * y) / den, fdet * y / den))
+        points.append(complex((fbd + fac * y * y) / den, fdet * y / den))
     return points

@@ -13,14 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .mobius import (
-    BASE_POINT,
-    Boundary,
-    GeodesicRay,
-    Infinity,
-    Interior,
-    points_along_ray,
-)
+from .mobius import BASE_POINT, Boundary, GeodesicRay, Interior, points_along_ray
 from .schottky import SchottkyData
 
 SIZE = 600.0
@@ -29,12 +22,13 @@ SCALE = (SIZE - 2 * MARGIN) / 2.0
 CENTER = SIZE / 2.0
 
 
-def cayley(p) -> complex:
-    """Half-plane point to the unit disk."""
-    if isinstance(p, Infinity):
-        return complex(0.0, 1.0)
-    z = complex(float(p.x), float(p.y) if isinstance(p, Interior) else 0.0)
+def cayley(z: complex) -> complex:
+    """Half-plane point x + iy to the unit disk."""
     return (z - 1j) / (z + 1j)
+
+
+def _complex(p: Interior) -> complex:
+    return complex(float(p.x), float(p.y))
 
 
 def to_canvas(w: complex) -> Tuple[float, float]:
@@ -46,9 +40,9 @@ def disk_circle(lo: Fraction, hi: Fraction) -> Tuple[float, float, float]:
     """Image of the boundary-orthogonal half-plane circle with footprint
     [lo, hi]: a disk circle through the Cayley images of the two footprint
     endpoints and the top point."""
-    p1 = cayley(Boundary(lo))
-    p2 = cayley(Boundary(hi))
-    p3 = cayley(Interior((lo + hi) / 2, (hi - lo) / 2))
+    p1 = cayley(complex(float(lo)))
+    p2 = cayley(complex(float(hi)))
+    p3 = cayley(complex(float((lo + hi) / 2), float((hi - lo) / 2)))
     if abs(p1 - p2) < 1e-9:
         # disk below float resolution on the canvas: draw a point circle
         return p3.real, p3.imag, 0.0
@@ -115,7 +109,7 @@ def render_svg(
 
     ray = GeodesicRay(BASE_POINT, eta)
     ts = [12.0 * k / 128 for k in range(129)]
-    pts = [to_canvas(cayley(q)) for q in points_along_ray(ray, ts)]
+    pts = [to_canvas(cayley(z)) for z in points_along_ray(ray, ts)]
     d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
     parts.append(
         f'<path class="ray" d="{d}" fill="none" stroke="#d62728" '
@@ -123,13 +117,13 @@ def render_svg(
     )
 
     for p in orbit:
-        x, y = to_canvas(cayley(p))
+        x, y = to_canvas(cayley(_complex(p)))
         parts.append(
             f'<circle class="orbit" cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" '
             'fill="#2ca02c"/>'
         )
 
-    x, y = to_canvas(cayley(BASE_POINT))
+    x, y = to_canvas(cayley(_complex(BASE_POINT)))
     parts.append(
         f'<rect class="basepoint" x="{_fmt(x - 3)}" y="{_fmt(y - 3)}" '
         'width="6" height="6" fill="black"/>'

@@ -13,6 +13,7 @@ from typing import List, Tuple, Union
 from .freewords import Word
 from .mobius import (
     BASE_POINT,
+    Boundary,
     GroupElement,
     Interior,
     IsometryClass,
@@ -73,19 +74,13 @@ def image_circle(g: GroupElement, circle: Circle, require_bounded: bool = False)
     side of the result; otherwise only the curve identity is meaningful.
     """
     lo, hi = circle.interval()
-    a, b, c, d = g.a, g.b, g.c, g.d
-    if c != 0:
-        pole = Fraction(-d, c)
+    if g.c != 0:
+        pole = Fraction(-g.d, g.c)
         if pole == lo or pole == hi:
             raise UnboundedDiskImage(f"footprint endpoint maps to infinity")
         if require_bounded and lo < pole < hi:
             raise UnboundedDiskImage(f"pole {pole} inside footprint [{lo}, {hi}]")
-
-    def image(x: Fraction) -> Fraction:
-        n, m = x.numerator, x.denominator
-        return Fraction(a * n + b * m, c * n + d * m)
-
-    ilo, ihi = image(lo), image(hi)
+    ilo, ihi = apply(g, Boundary(lo)).x, apply(g, Boundary(hi)).x
     if ilo > ihi:
         ilo, ihi = ihi, ilo
     return Circle((ilo + ihi) / 2, (ihi - ilo) / 2)

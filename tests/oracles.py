@@ -11,7 +11,8 @@
   and denominators, which the integer-triple points of mobius.Interior
   replaced.
 - The standard-position ray geometry that the closed forms of
-  mobius.dist_to_ray and mobius.points_along_ray replaced.
+  mobius.dist_to_ray and mobius.points_along_ray replaced, and the distance
+  to a ray in mpmath from the exact standard position.
 - Boundary fixed points of a group element.
 - The letter-by-letter free-generation verifier that the incremental
   symbol-word walk of freewords.verify_free_generation replaced: it
@@ -165,17 +166,12 @@ def ref_apply_exact(g, p):
 
 def ref_hyp_dist(p, q):
     """2 asinh of the half chordal ratio, from each coordinate's own numerator
-    and denominator when all four are Fractions, else in floats."""
+    and denominator."""
     px, py, qx, qy = p.x, p.y, q.x, q.y
-    if type(px) is type(py) is type(qx) is type(qy) is Fraction:
-        xd, yd = px.denominator * qx.denominator, py.denominator * qy.denominator
-        dx = (px.numerator * qx.denominator - qx.numerator * px.denominator) * yd
-        dy = (py.numerator * qy.denominator - qy.numerator * py.denominator) * xd
-        s2 = (dx * dx + dy * dy) / (4 * py.numerator * qy.numerator * yd * xd * xd)
-    else:
-        dx = px - qx
-        dy = py - qy
-        s2 = float((dx * dx + dy * dy) / (4 * py * qy))
+    xd, yd = px.denominator * qx.denominator, py.denominator * qy.denominator
+    dx = (px.numerator * qx.denominator - qx.numerator * px.denominator) * yd
+    dy = (py.numerator * qy.denominator - qy.numerator * py.denominator) * xd
+    s2 = (dx * dx + dy * dy) / (4 * py.numerator * qy.numerator * yd * xd * xd)
     return 2.0 * math.asinh(math.sqrt(s2))
 
 
@@ -228,6 +224,19 @@ def ref_dist_to_ray(p, ray):
         qx, qy = matrix_apply(std_position(ray), p.x, p.y)
         return math.asinh(abs(float(qx / qy)))
     return hyp_dist(p, ray.base)
+
+
+def mp_dist_to_ray(p, ray, dps=50):
+    """asinh(|x|/y) in mpmath at dps digits, for the point moved exactly into
+    standard position, when the foot is on the ray; else the mpmath distance
+    to the base, which needs dps beyond the digits of the points'
+    denominators."""
+    with mpmath.workdps(dps):
+        if ref_foot_on_ray(p, ray):
+            qx, qy = matrix_apply(std_position(ray), p.x, p.y)
+            return float(mpmath.asinh(_mpf(abs(qx / qy))))
+        b = ray.base
+        return float(mp_hyp_dist((_mpf(p.x), _mpf(p.y)), (_mpf(b.x), _mpf(b.y))))
 
 
 def ref_point_along_ray(ray, t):

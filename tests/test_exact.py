@@ -49,6 +49,7 @@ from oracles import (
     frac_disk_chain,
     frac_mobius_interior,
     frac_sinh2_half,
+    mp_dist_to_ray,
     mp_hyp_dist,
     ref_apply_exact,
     ref_dist_to_ray,
@@ -249,7 +250,7 @@ class TestRayGeometry:
     @settings(max_examples=100, deadline=None)
     def test_points_along_ray_equal_standard_position(self, kind, data, ts):
         ray = data.draw(RAY_KINDS[kind]())
-        got = [(q.x, q.y) for q in points_along_ray(ray, ts)]
+        got = [(z.real, z.imag) for z in points_along_ray(ray, ts)]
         assert got == [ref_point_along_ray(ray, t) for t in ts]
 
     @pytest.mark.parametrize("seed", [None, 3])
@@ -262,7 +263,7 @@ class TestRayGeometry:
         assert len(orbit) == 24
         for p in orbit:
             assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
-        got = [(q.x, q.y) for q in points_along_ray(ray, RENDER_TS)]
+        got = [(z.real, z.imag) for z in points_along_ray(ray, RENDER_TS)]
         assert got == [ref_point_along_ray(ray, t) for t in RENDER_TS]
 
 
@@ -343,11 +344,30 @@ class TestIntegerTriplePoints:
         p = Interior(Fraction(1, 6), Fraction(3, 4))
         assert (p.xn, p.yn, p.den) == (2, 9, 12)
         assert (p.x, p.y) == (Fraction(1, 6), Fraction(3, 4))
-        assert Interior(0.5, 2.0).den is None
+        # a float is read at its exact binary value
+        p = Interior(0.5, 2.0)
+        assert p == Interior(Fraction(1, 2), Fraction(2))
+        assert (p.xn, p.yn, p.den) == (1, 4, 2)
+        for bad in (math.inf, -math.inf, math.nan):
+            for build in (lambda: Interior(bad, 1.0), lambda: Interior(0.0, bad),
+                          lambda: Boundary(bad)):
+                with pytest.raises(ValueError):
+                    build()
+
+    def test_float_base_and_deep_point(self, sd):
+        # theta_40(i) lies within 10^-1700 of the boundary: its distances to
+        # points given in floats are finite and match mpmath
+        p = theta_orbit(sd, 40)[39]
+        base = Interior(0.5, 2.0)
+        d = hyp_dist(base, p)
+        assert math.isfinite(d) and d == pytest.approx(mp_distance(base, p), rel=1e-12)
+        ray = GeodesicRay(base, Boundary(7.4))
+        d = dist_to_ray(p, ray)
+        assert math.isfinite(d) and d == pytest.approx(mp_dist_to_ray(p, ray), rel=1e-12)
 
     @given(interior_points(), interior_points())
     def test_hyp_dist_mixed_exact_and_float(self, p, q):
         pf, qf = Interior(float(p.x), float(p.y)), Interior(float(q.x), float(q.y))
-        half = Interior(float(p.x), p.y)  # one float coordinate: not exact
+        half = Interior(float(p.x), p.y)  # each float is read at its exact value
         for a, b in ((p, q), (pf, q), (p, qf), (pf, qf), (half, q), (q, half)):
             assert hyp_dist(a, b) == ref_hyp_dist(a, b)

@@ -8,7 +8,6 @@ from schottky_limits.freewords import EMPTY, Word, WordFamily, theta
 from schottky_limits.limits import (
     ToleranceNotReached,
     _thetas,
-    count_orbit_in_ball,
     enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
@@ -23,6 +22,7 @@ from schottky_limits.mobius import (
     Boundary,
     GeodesicRay,
     GroupElement,
+    Interior,
     apply,
     hyp_dist,
     points_along_ray,
@@ -82,28 +82,6 @@ class TestQICheck:
             g = g * sd.gen_a
             dn = hyp_dist(BASE_POINT, apply(g, BASE_POINT))
             assert dn == pytest.approx(n * d1, abs=1e-9)
-
-
-class TestCountOrbitInBall:
-    def test_tiny_ball_only_identity(self, sd):
-        count = count_orbit_in_ball(sd, 0.5, 6)
-        assert count.count == 1
-        assert count.complete
-
-    def test_matches_brute_force(self, sd):
-        R = 2 * hyp_dist(BASE_POINT, apply(sd.gen_a, BASE_POINT))
-        report = count_orbit_in_ball(sd, R, 8)
-        brute = sum(1 for s in orbit_samples(sd, 8) if s.displacement <= R)
-        assert report.count == brute
-        assert report.complete
-
-    def test_monotone_in_radius(self, sd):
-        counts = [count_orbit_in_ball(sd, R, 5).count for R in (1.0, 3.0, 5.0, 8.0)]
-        assert counts == sorted(counts)
-
-    def test_rejects_bad_radius(self, sd):
-        with pytest.raises(ValueError):
-            count_orbit_in_ball(sd, 0.0, 4)
 
 
 class TestLimitPoint:
@@ -214,5 +192,5 @@ class TestPointAlongRay:
         ray = GeodesicRay(BASE_POINT, Boundary(Fraction(3)))
         rng = random.Random(2)
         ts = [rng.uniform(0, 8) for _ in range(20)]
-        for t, p in zip(ts, points_along_ray(ray, ts)):
-            assert hyp_dist(BASE_POINT, p) == pytest.approx(t, abs=1e-9)
+        for t, z in zip(ts, points_along_ray(ray, ts)):
+            assert hyp_dist(BASE_POINT, Interior(z.real, z.imag)) == pytest.approx(t, abs=1e-9)

@@ -208,11 +208,11 @@ def sampled_ray_min(p, ray, coarse=400):
     ray, refined by ternary search (distance along a geodesic is convex)."""
     from schottky_limits.mobius import points_along_ray
 
-    pf = Interior(float(p.x), float(p.y))
-    reach = hyp_dist(ray.base, pf) + 1.0
+    reach = hyp_dist(ray.base, p) + 1.0
 
     def f(t):
-        return hyp_dist(pf, points_along_ray(ray, [t])[0])
+        z = points_along_ray(ray, [t])[0]
+        return hyp_dist(p, Interior(z.real, z.imag))
 
     ts = [reach * k / coarse for k in range(coarse + 1)]
     best = min(range(len(ts)), key=lambda i: f(ts[i]))

@@ -27,11 +27,6 @@ def test_radial_profile():
     assert result.stdout.splitlines()[-1] == "constant c = 3.584290, bounded trend: True"
 
 
-def test_orbit_growth():
-    result = run_script("orbit_growth.py", "4")
-    assert result.returncode == 0, result.stderr
-
-
 def imported_modules(paths):
     """The top-level names of the absolute imports in the files."""
     imported = set()

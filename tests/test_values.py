@@ -16,7 +16,7 @@ from schottky_limits.freewords import (
     WordFamily,
     omega,
 )
-from schottky_limits.limits import OrbitCount, OrbitSample, QIEstimate, RadialWitness
+from schottky_limits.limits import OrbitSample, QIEstimate, RadialWitness
 from schottky_limits.mobius import (
     BASE_POINT,
     INFINITY,
@@ -36,7 +36,7 @@ from schottky_limits.schottky import (
 
 F = Fraction
 SD = default_generators()
-QI = QIEstimate(2.5, 0.0, 7.75, 0.0, 8, Word.from_string("ab"), Word.from_string("B"))
+QI = QIEstimate(2.5, 0.0, 7.75, 0.0, 8)
 
 #: the dataclass fields of each class, in order
 FIELDS = {
@@ -58,11 +58,7 @@ FIELDS = {
     ),
     Certificate: ("checks",),
     Violation: ("name", "detail"),
-    QIEstimate: (
-        "lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length",
-        "lower_witness", "upper_witness",
-    ),
-    OrbitCount: ("count", "radius", "max_length", "complete", "qi"),
+    QIEstimate: ("lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length"),
     RadialWitness: ("eta", "constant_c", "per_n"),
 }
 
@@ -81,7 +77,7 @@ SAMPLES = [
     Certificate(("one", "two")),
     Violation("disks-not-disjoint", "C_a and C_b footprints meet"),
     QI,
-    OrbitCount(12, 5.0, 8, True, QI),
+    Boundary(7.4),
     RadialWitness(Boundary(F(5, 2)), 3.5, ((1, 3.25), (2, 3.5))),
     WordFamily(None, 6),
     WordFamily(omega, 12),
@@ -150,8 +146,6 @@ def test_defaults():
     assert SymbolWord().syllables == ()
     assert WordFamily() == WordFamily(None, 50)
     assert VerificationReport(3, 2) == VerificationReport(3, 2, 0, 0, True, True, None)
-    qi = QIEstimate(1.0, 0.0, 2.0, 0.0, 3)
-    assert qi.lower_witness == qi.upper_witness == EMPTY
 
 
 @pytest.mark.parametrize("build", [
