@@ -77,7 +77,7 @@ SAMPLES = [
     Certificate(("one", "two")),
     Violation("disks-not-disjoint", "C_a and C_b footprints meet"),
     QI,
-    Boundary(7.4),
+    Boundary(7.4),  # a float, read at its exact binary value
     RadialWitness(Boundary(F(5, 2)), 3.5, ((1, 3.25), (2, 3.5))),
     WordFamily(None, 6),
     WordFamily(omega, 12),
