@@ -19,11 +19,10 @@ def main(argv):
     n_max = int(argv[1]) if len(argv) > 1 else 12
     sd = default_generators()
 
-    brackets = limit_point_brackets(sd, n_max)
-    eta = estimate_limit_point(brackets, 1e-10)
-    witness = radial_check(eta, sd, n_max)
+    brackets, orbit = limit_point_brackets(sd, n_max)
+    witness = radial_check(estimate_limit_point(brackets, 1e-10), orbit)
 
-    print(f"eta = {float(eta.x):.12g}")
+    print(f"eta = {float(witness.eta.x):.12g}")
     print(f"{'n':>3} {'bracket width':>14} {'dist to ray':>12}")
     for (lo, hi), (n, d) in zip(brackets, witness.per_n):
         print(f"{n:>3} {float(hi - lo):>14.4e} {d:>12.6f}")

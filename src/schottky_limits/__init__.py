@@ -49,7 +49,6 @@ from .limits import (
     limit_point_brackets,
     qi_check,
     radial_check,
-    theta_orbit,
 )
 
 __version__ = "0.1.0"

@@ -291,13 +291,14 @@ def render(input_path, n_max, tol, out):
     from .render import render_svg  # only this command loads the SVG writer
 
     sd = _load_certified(input_path)
-    # eta is bracketed at depth 12 at least; the figure shows the first n_max disks
-    brackets = limits.limit_point_brackets(sd, max(n_max, 12))
+    # eta is bracketed at depth 12 at least; the figure shows the first n_max
+    # disks and orbit points of the same walk
+    brackets, orbit = limits.limit_point_brackets(sd, max(n_max, 12))
     try:
         eta = limits.estimate_limit_point(brackets, tol)
     except limits.ToleranceNotReached as exc:
         _tolerance_not_reached(exc, out)
-    _emit(render_svg(sd, brackets[:n_max], limits.theta_orbit(sd, n_max), eta), out)
+    _emit(render_svg(sd, brackets[:n_max], orbit[:n_max], eta), out)
     sys.exit(0)
 
 

@@ -101,48 +101,28 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     return QIEstimate(lower, 0.0, upper, 0.0, max_length)
 
 
-def _thetas(n_max: int) -> Iterator[Word]:
-    """theta_1..theta_n_max of the default family, as prefixes of one theta_n_max.
-
-    omega_k = b^k a uses only positive letters, so nothing cancels: theta_n
-    is the prefix of theta_{n+1} of length sum_k (2k + 2) = n(n + 3).
-    """
-    letters = theta(n_max, WordFamily(max_index=n_max)).letters
-    return (Word(letters[: n * (n + 3)]) for n in range(1, n_max + 1))
-
-
-def _theta_steps(
-    sd: SchottkyData, n_max: int
-) -> Iterator[Tuple[GroupElement, Word, GroupElement]]:
-    """(theta_{n-1}, d_n, theta_n) for n = 1..n_max: the word d_n that theta_n
-    adds to theta_{n-1}, between the two products of one prefix walk."""
-    prev, done = GroupElement.identity(), 0
-    for w in _thetas(n_max):
-        d = Word(w.letters[done:])
-        cur = prev * word_to_element(d, sd)
-        yield prev, d, cur
-        prev, done = cur, len(w)
-
-
 def limit_point_brackets(
     sd: SchottkyData, n_max: int
-) -> List[Tuple[Fraction, Fraction]]:
-    """Exact nested boundary intervals: the footprints of the disks of
-    theta_1..theta_n_max.
+) -> Tuple[List[Tuple[Fraction, Fraction]], List[Interior]]:
+    """The one walk over theta_1..theta_n_max of the default family: the exact
+    footprints of their disks (the brackets) and the orbit points theta_n(i).
 
-    theta_n is a prefix of theta_{n+1}, so the disks nest and the footprints
-    bracket the limit point. theta_n = theta_{n-1} d_n is reduced, so its
-    disk is the image of the disk of d_n under theta_{n-1}.
+    omega_k = b^k a uses only positive letters, so nothing cancels: theta_n
+    is the prefix of length n(n + 3) of one theta_n_max, and theta_n =
+    theta_{n-1} d_n with d_n = b^n a^2 b^n. Each d_n is multiplied onto the
+    running prefix product once. theta_n is reduced, so its disk is the image
+    of the disk of d_n under theta_{n-1}; the disks nest, and the footprints
+    bracket the limit point.
     """
-    return [
-        image_circle(prev, nested_disk(d, sd), require_bounded=True).interval()
-        for prev, d, _ in _theta_steps(sd, n_max)
-    ]
-
-
-def theta_orbit(sd: SchottkyData, n_max: int) -> List[Interior]:
-    """The orbit points theta_1(i)..theta_n_max(i)."""
-    return [apply(cur, BASE_POINT) for _, _, cur in _theta_steps(sd, n_max)]
+    letters = theta(n_max, WordFamily(max_index=n_max)).letters
+    brackets, orbit = [], []
+    prev = GroupElement.identity()
+    for n in range(1, n_max + 1):
+        d = Word(letters[(n - 1) * (n + 2) : n * (n + 3)])
+        brackets.append(image_circle(prev, nested_disk(d, sd), require_bounded=True).interval())
+        prev = prev * word_to_element(d, sd)
+        orbit.append(apply(prev, BASE_POINT))
+    return brackets, orbit
 
 
 def estimate_limit_point(
@@ -150,18 +130,18 @@ def estimate_limit_point(
 ) -> Boundary:
     """Certified bracketing of the limit of theta_n(i) on the boundary.
 
-    Fails unless some of the nested brackets has Euclidean width below tol.
-    The returned point is the midpoint of the deepest bracket, which is far
+    Fails unless the deepest of the nested brackets has Euclidean width below
+    tol. The returned point is the midpoint of the deepest bracket, which is far
     tighter than tol: downstream radial distances need the limit point
     resolved at the scale of the deepest orbit point, not merely tol. The
     true limit lies inside every bracket.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    widths = [float(hi - lo) for lo, hi in brackets]
-    if min(widths) >= tol:
-        raise ToleranceNotReached(min(widths), len(brackets))
-    lo, hi = brackets[-1]
+    lo, hi = brackets[-1]  # the brackets nest, so the deepest is the narrowest
+    width = float(hi - lo)
+    if width >= tol:
+        raise ToleranceNotReached(width, len(brackets))
     return Boundary((lo + hi) / 2)
 
 
@@ -187,8 +167,10 @@ class RadialWitness(Value):
         return self.constant_c <= 1.5 * half and tail <= self.constant_c
 
 
-def radial_check(eta: Boundary, sd: SchottkyData, n_max: int) -> RadialWitness:
-    """Distance from each theta_n(i) to the ray [i, eta], n = 1..n_max.
+def radial_check(eta: Boundary, orbit: Sequence[Interior]) -> RadialWitness:
+    """Distance from each orbit point to the ray [i, eta]: orbit holds
+    theta_1(i)..theta_n_max(i), as limit_point_brackets returns them, and
+    per_n numbers the distances n = 1..n_max.
 
     The reported constant is the max; boundedness of the whole sequence is
     only evidenced, not proven, at this depth.
@@ -196,7 +178,6 @@ def radial_check(eta: Boundary, sd: SchottkyData, n_max: int) -> RadialWitness:
     if not isinstance(eta, Boundary):
         raise ValueError("eta must be a boundary point")
     ray = GeodesicRay(BASE_POINT, eta)
-    orbit = theta_orbit(sd, n_max)
     per_n = tuple((n, dist_to_ray(p, ray)) for n, p in enumerate(orbit, 1))
     c = max(d for _, d in per_n)
     return RadialWitness(eta, c, per_n)

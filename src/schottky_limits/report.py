@@ -38,12 +38,14 @@ def certificate_dict(verdict) -> dict:
 def radial_fragment(sd: SchottkyData, n_max: int, tol: float) -> dict:
     """Limit point, radial constant and per-depth distances of theta_1..theta_n_max.
 
-    Raises ToleranceNotReached when no bracket up to n_max is narrower than tol.
+    One walk of the theta prefix products gives both the brackets and the
+    orbit points. Raises ToleranceNotReached when the deepest bracket, that of
+    theta_n_max, is not narrower than tol.
     """
-    eta = estimate_limit_point(limit_point_brackets(sd, n_max), tol)
-    witness = radial_check(eta, sd, n_max)
+    brackets, orbit = limit_point_brackets(sd, n_max)
+    witness = radial_check(estimate_limit_point(brackets, tol), orbit)
     return {
-        "eta": fmt_float(float(eta.x)),
+        "eta": fmt_float(float(witness.eta.x)),
         "constant_c": fmt_float(witness.constant_c),
         "per_n": [{"n": n, "distance": fmt_float(d)} for n, d in witness.per_n],
         "radial_bounded_trend": witness.bounded_trend,

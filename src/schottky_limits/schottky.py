@@ -149,12 +149,6 @@ class SchottkyData(Value):
             return self.circle_a_prime if exponent == 1 else self.circle_a
         return self.circle_b_prime if exponent == 1 else self.circle_b
 
-    def source_circle(self, letter: str, exponent: int) -> Circle:
-        """The circle whose exterior is the domain side of letter^exponent."""
-        if letter == "a":
-            return self.circle_a if exponent == 1 else self.circle_a_prime
-        return self.circle_b if exponent == 1 else self.circle_b_prime
-
     def to_json_dict(self) -> dict:
         def mat(g):
             return [str(v) for v in g.entries()]

@@ -20,7 +20,6 @@ from schottky_limits.limits import (
     orbit_samples,
     qi_check,
     radial_check,
-    theta_orbit,
 )
 from schottky_limits.mobius import (
     BASE_POINT,
@@ -155,20 +154,20 @@ def test_criterion_05_intersection_triviality(sd):
 
 
 def test_criterion_06_shared_radial_limit_point(sd):
-    eta = estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
-    brackets = limit_point_brackets(sd, 12)
+    brackets, orbit = limit_point_brackets(sd, 12)
+    eta = estimate_limit_point(brackets, 1e-10)
     assert min(float(hi - lo) for lo, hi in brackets) < 1e-10
     assert all(lo <= eta.x <= hi for lo, hi in brackets)
 
-    witness = radial_check(eta, sd, 12)
+    witness = radial_check(eta, orbit)
     assert len(witness.per_n) == 12
     assert all(math.isfinite(d) for _, d in witness.per_n)
     tail_max = max(d for _, d in witness.per_n[-3:])
     assert tail_max <= witness.constant_c
     assert witness.bounded_trend
 
-    eta2 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-11)
-    witness2 = radial_check(eta2, sd, 12)
+    eta2 = estimate_limit_point(brackets, 1e-11)
+    witness2 = radial_check(eta2, orbit)
     assert abs(witness.constant_c - witness2.constant_c) < 1e-6
     report(
         f"criterion 6 PASS: eta = {float(eta.x):.12g} bracketed below 1e-10, "
@@ -255,8 +254,9 @@ def test_criterion_10_deterministic_report(tmp_path):
 def test_radial_distances_against_high_precision_oracle(sd, fam12):
     # supporting evidence for criterion 6: every reported distance n = 1..12
     # agrees with the high-precision sampling oracle
-    eta = estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
-    witness = radial_check(eta, sd, 12)
+    brackets, orbit = limit_point_brackets(sd, 12)
+    eta = estimate_limit_point(brackets, 1e-10)
+    witness = radial_check(eta, orbit)
     for n, d in witness.per_n:
         from schottky_limits.schottky import word_to_element
 
@@ -282,8 +282,9 @@ def test_deep_radial_witness(sd):
     assert doc["radial_bounded_trend"] is True
 
     n = 20
-    eta = estimate_limit_point(limit_point_brackets(sd, 40), 1e-10)
-    p = theta_orbit(sd, n)[-1]
+    brackets, orbit = limit_point_brackets(sd, 40)
+    eta = estimate_limit_point(brackets, 1e-10)
+    p = orbit[n - 1]
     dps = max(len(str(p.x.denominator)), len(str(p.y.denominator))) + 60
     oracle = mp_dist_to_ray_from_i((p.x, p.y), eta.x, dps=dps)
     assert float(doc["per_n"][n - 1]["distance"]) == pytest.approx(oracle, abs=1e-9)

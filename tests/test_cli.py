@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schottky_limits.schottky import CIRCLE_NAMES, SchottkyData, default_generators
+from schottky_limits.schottky import CIRCLE_NAMES, SchottkyData, default_generators, word_to_element
 
 from conftest import invoke
 from oracles import REPORT_SCHEMA, SCHOTTKY_SCHEMA
@@ -460,6 +460,26 @@ class TestSinglePath:
         assert {"g1": doc["g1_size"], "g2": doc["g2_size"]} == (
             small_report["subgroup_sizes"]
         )
+
+    @pytest.mark.parametrize("args, steps", [
+        (["construct", "--n-max", "24"], 24),
+        (["render", "--n-max", "24"], 24),
+        (["render", "--n-max", "3"], 12),  # eta is bracketed at depth 12 at least
+    ])
+    def test_one_theta_walk(self, monkeypatch, args, steps):
+        """The brackets, the orbit points and the radial check share one walk:
+        each d_n = b^n a^2 b^n of theta_n = theta_{n-1} d_n is multiplied out once."""
+        from schottky_limits import limits
+
+        calls = []
+
+        def counted(w, sd):
+            calls.append(w)
+            return word_to_element(w, sd)
+
+        monkeypatch.setattr(limits, "word_to_element", counted)
+        assert invoke(args).exit_code == 0
+        assert len(calls) == steps
 
 
 def _is_rational_square(q):

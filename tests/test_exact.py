@@ -21,7 +21,6 @@ from schottky_limits.limits import (
     intersect_by_matrices,
     limit_point_brackets,
     orbit_samples,
-    theta_orbit,
     theta_subgroups,
 )
 from schottky_limits.mobius import (
@@ -154,15 +153,17 @@ class TestNestedDisk:
         lo, hi = frac_disk_chain(mats, *sd.target_disk(*w.letters[-1]).interval())
         assert nested_disk(w, sd).interval() == (lo, hi)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 12])
     @pytest.mark.parametrize("seed", [None, 3])
-    def test_prefix_walk_equals_full_words(self, seed):
+    def test_prefix_walk_equals_full_words(self, seed, n_max):
         """The one-prefix walk of the brackets and the orbit gives the disks
-        and points of theta_1..theta_n built from scratch."""
+        and points of theta_1..theta_n_max built from scratch."""
         sd = instance(seed)
-        fam = WordFamily(max_index=12)
-        thetas = [theta(n, fam) for n in range(1, 13)]
-        assert limit_point_brackets(sd, 12) == [nested_disk(w, sd).interval() for w in thetas]
-        assert theta_orbit(sd, 12) == [apply(word_to_element(w, sd), BASE_POINT) for w in thetas]
+        fam = WordFamily(max_index=n_max)
+        thetas = [theta(n, fam) for n in range(1, n_max + 1)]
+        brackets, orbit = limit_point_brackets(sd, n_max)
+        assert brackets == [nested_disk(w, sd).interval() for w in thetas]
+        assert orbit == [apply(word_to_element(w, sd), BASE_POINT) for w in thetas]
 
 
 class TestIntersectByMatrices:
@@ -257,9 +258,8 @@ class TestRayGeometry:
     def test_deep_instance(self, seed):
         """The orbit points of construct and the ray of render at n = 24."""
         sd = instance(seed)
-        eta = estimate_limit_point(limit_point_brackets(sd, 24), 1e-10)
-        ray = GeodesicRay(BASE_POINT, eta)
-        orbit = theta_orbit(sd, 24)
+        brackets, orbit = limit_point_brackets(sd, 24)
+        ray = GeodesicRay(BASE_POINT, estimate_limit_point(brackets, 1e-10))
         assert len(orbit) == 24
         for p in orbit:
             assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
@@ -298,8 +298,9 @@ class TestIntegerTriplePoints:
     def test_deep_theta_orbit(self, seed):
         sd = instance(seed)
         fam = WordFamily(max_index=24)
-        ray = GeodesicRay(BASE_POINT, estimate_limit_point(limit_point_brackets(sd, 24), 1e-10))
-        for n, p in enumerate(theta_orbit(sd, 24), 1):
+        brackets, orbit = limit_point_brackets(sd, 24)
+        ray = GeodesicRay(BASE_POINT, estimate_limit_point(brackets, 1e-10))
+        for n, p in enumerate(orbit, 1):
             assert (p.x, p.y) == ref_apply_exact(word_to_element(theta(n, fam), sd), BASE_POINT)
             # from n = 16, sinh^2(d/2) exceeds the float range and the
             # reference formula overflows; there d is checked against mpmath
@@ -313,7 +314,7 @@ class TestIntegerTriplePoints:
 
     def test_distances_past_the_float_range(self, sd):
         # theta_40(i) lies at d ~ 3950, where sinh^2(d/2) ~ 10^1715
-        orbit = theta_orbit(sd, 40)
+        _, orbit = limit_point_brackets(sd, 40)
         for p in orbit[15:]:
             assert hyp_dist(BASE_POINT, p) == pytest.approx(mp_distance(BASE_POINT, p), rel=1e-12)
             assert hyp_dist(p, BASE_POINT) == hyp_dist(BASE_POINT, p)
@@ -357,7 +358,7 @@ class TestIntegerTriplePoints:
     def test_float_base_and_deep_point(self, sd):
         # theta_40(i) lies within 10^-1700 of the boundary: its distances to
         # points given in floats are finite and match mpmath
-        p = theta_orbit(sd, 40)[39]
+        p = limit_point_brackets(sd, 40)[1][39]
         base = Interior(0.5, 2.0)
         d = hyp_dist(base, p)
         assert math.isfinite(d) and d == pytest.approx(mp_distance(base, p), rel=1e-12)

@@ -1,12 +1,15 @@
-"""CLI stdout at the benchmark's flags matches the golden copies in
-perfbench/golden/ byte for byte (the files are only read here)."""
+"""CLI stdout matches golden copies byte for byte: at the benchmark's flags
+the copies in perfbench/golden/ (only read here), and for the deep radial
+path, `construct --n-max 24` with theta products of about 2 100 bits, the
+copy in tests/golden/."""
 
 from pathlib import Path
 
 import pytest
 from conftest import invoke
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+OWN_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("args, name", [
@@ -14,8 +17,10 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
     (["render"], "render.svg"),
     (["freeness", "--max-index", "6", "--max-syllables", "4"], "freeness.json"),
     (["intersect", "--max-index", "6", "--max-syllables", "3"], "intersect.json"),
+    (["construct", "--n-max", "24"], "construct-24.json"),
 ])
 def test_stdout_matches_golden(args, name):
     result = invoke(args)
     assert result.exit_code == 0
-    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+    golden = OWN_GOLDEN / name if (OWN_GOLDEN / name).exists() else BENCH_GOLDEN / name
+    assert result.stdout_bytes == golden.read_bytes()

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from schottky_limits.freewords import EMPTY, Word, WordFamily, theta
+from schottky_limits.freewords import EMPTY, Word, theta
 from schottky_limits.limits import (
     ToleranceNotReached,
-    _thetas,
     enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
@@ -31,8 +30,14 @@ from schottky_limits.schottky import word_to_element
 
 
 @pytest.fixture(scope="module")
-def eta(sd):
-    return estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
+def walk12(sd):
+    """The brackets and the orbit points of theta_1..theta_12."""
+    return limit_point_brackets(sd, 12)
+
+
+@pytest.fixture(scope="module")
+def eta(walk12):
+    return estimate_limit_point(walk12[0], 1e-10)
 
 
 class TestOrbitSamples:
@@ -85,20 +90,14 @@ class TestQICheck:
 
 
 class TestLimitPoint:
-    @pytest.mark.parametrize("n_max", [1, 2, 40])
-    def test_theta_prefixes_are_theta(self, n_max):
-        # the prefixes of one theta_n_max, of length n(n + 3), are theta_1..theta_n_max
-        fam = WordFamily(max_index=n_max)
-        assert list(_thetas(n_max)) == [theta(n, fam) for n in range(1, n_max + 1)]
-
     def test_brackets_nested_and_shrinking(self, sd):
-        brackets = limit_point_brackets(sd, 10)
+        brackets, _ = limit_point_brackets(sd, 10)
         for (lo1, hi1), (lo2, hi2) in zip(brackets, brackets[1:]):
             assert lo1 <= lo2 and hi2 <= hi1
             assert hi2 - lo2 < hi1 - lo1
 
-    def test_eta_in_every_bracket(self, sd, eta):
-        for lo, hi in limit_point_brackets(sd, 12):
+    def test_eta_in_every_bracket(self, walk12, eta):
+        for lo, hi in walk12[0]:
             assert lo <= eta.x <= hi
 
     def test_eta_near_attracting_fixed_point(self, sd, fam12, eta):
@@ -108,35 +107,37 @@ class TestLimitPoint:
         fp = attracting_fixed_point(g)
         assert float(fp.x) == pytest.approx(float(eta.x), abs=2e-10)
 
-    def test_stability_under_tighter_tol(self, sd):
-        e1 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-10)
-        e2 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-11)
-        lo, hi = limit_point_brackets(sd, 12)[-1]
+    def test_stability_under_tighter_tol(self, walk12):
+        brackets, _ = walk12
+        e1 = estimate_limit_point(brackets, 1e-10)
+        e2 = estimate_limit_point(brackets, 1e-11)
+        lo, hi = brackets[-1]
         assert abs(float(e1.x - e2.x)) <= float(hi - lo)
 
     def test_tolerance_not_reached(self, sd):
         with pytest.raises(ToleranceNotReached) as exc:
-            estimate_limit_point(limit_point_brackets(sd, 1), 1e-30)
+            estimate_limit_point(limit_point_brackets(sd, 1)[0], 1e-30)
         assert exc.value.achieved_width > 0
 
 
 class TestRadialCheck:
-    def test_distances_bounded(self, sd, eta):
-        witness = radial_check(eta, sd, 12)
+    def test_distances_bounded(self, walk12, eta):
+        witness = radial_check(eta, walk12[1])
         assert witness.constant_c == max(d for _, d in witness.per_n)
         assert all(math.isfinite(d) for _, d in witness.per_n)
         assert witness.bounded_trend
 
-    def test_stable_under_tighter_eta(self, sd, eta):
-        eta2 = estimate_limit_point(limit_point_brackets(sd, 12), 1e-11)
-        w1 = radial_check(eta, sd, 12)
-        w2 = radial_check(eta2, sd, 12)
+    def test_stable_under_tighter_eta(self, walk12, eta):
+        brackets, orbit = walk12
+        eta2 = estimate_limit_point(brackets, 1e-11)
+        w1 = radial_check(eta, orbit)
+        w2 = radial_check(eta2, orbit)
         assert abs(w1.constant_c - w2.constant_c) < 1e-6
 
-    def test_against_sampling_oracle(self, sd, fam12, eta):
+    def test_against_sampling_oracle(self, sd, fam12, walk12, eta):
         from oracles import mp_dist_to_ray_from_i
 
-        witness = radial_check(eta, sd, 12)
+        witness = radial_check(eta, walk12[1])
         for n, d in witness.per_n:
             p = apply(word_to_element(theta(n, fam12), sd), BASE_POINT)
             oracle = mp_dist_to_ray_from_i((p.x, p.y), eta.x)
@@ -144,7 +145,7 @@ class TestRadialCheck:
 
     def test_rejects_interior_eta(self, sd):
         with pytest.raises(ValueError):
-            radial_check(BASE_POINT, sd, 4)
+            radial_check(BASE_POINT, limit_point_brackets(sd, 4)[1])
 
 
 class TestSubgroups:
