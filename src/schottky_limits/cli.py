@@ -38,7 +38,7 @@ import sys
 from typing import Dict, List, NoReturn, Optional, Tuple
 
 from . import limits, report as report_mod
-from .freewords import PrefixFreeViolated, WordFamily, verify_free_generation
+from .freewords import WordFamily, verify_free_generation
 from .schottky import Certificate, SchottkyData, default_generators, verify_ping_pong
 
 
@@ -219,12 +219,7 @@ def certify(input_path, out):
 
 def freeness(max_index, max_syllables, out):
     """Exhaustively verify bounded free generation of the doubled words."""
-    fam = WordFamily(max_index=max_index)
-    try:
-        rep = verify_free_generation(fam, max_syllables)
-    except PrefixFreeViolated as exc:
-        _dump({"status": "prefix-free-violated", "detail": str(exc)}, out)
-        sys.exit(1)
+    rep = verify_free_generation(WordFamily(max_index=max_index), max_syllables)
     _dump(
         {
             "status": "verified" if rep.verified else "counterexample",
@@ -254,9 +249,11 @@ def construct(input_path, n_max, tol, out):
 def intersect(input_path, max_index, max_syllables, out):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
     sd = _load_certified(input_path)
-    g1, g2 = limits.theta_subgroups(WordFamily(max_index=max_index), max_syllables)
+    odd, even = limits.theta_generators(WordFamily(max_index=max_index))
+    g1 = limits.enumerate_subgroup(odd, max_syllables)
+    g2 = limits.enumerate_subgroup(even, max_syllables)
     common = limits.intersect_subgroups(g1, g2)
-    cross = limits.intersect_by_matrices(g1, g2, sd)
+    cross = limits.intersect_by_matrices(odd, even, max_syllables, sd)
     doc = {
         "g1_size": len(g1),
         "g2_size": len(g2),

@@ -8,7 +8,7 @@ their inverses, and 'e' the empty word.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .value import Value, init_field
 
@@ -145,7 +145,7 @@ def is_prefix_free(fam: WordFamily) -> bool:
     return True
 
 
-Syllable = Tuple[int, int]  # (family index, exponent +-1)
+Syllable = Tuple[int, int]  # (family or generator index, exponent +-1)
 
 
 class SymbolWord(Value):
@@ -240,6 +240,35 @@ def _join(left: Tuple[Letter, ...], right: Tuple[Letter, ...]) -> Tuple[Letter, 
     return left[: len(left) - k] + right[k:]
 
 
+def _products(
+    factors: Sequence[Tuple[Syllable, Tuple[Letter, ...]]], max_syllables: int
+) -> Iterator[Tuple[Tuple[Syllable, ...], Tuple[Letter, ...]]]:
+    """Every reduced product of 1..max_syllables factors, as (symbols, letters
+    of its normal form), in levels by length with the order of factors inside
+    each level.
+
+    factors holds (symbol, reduced letters) pairs; the symbol (i, -e) names
+    the inverse of the factor (i, e), and a product is reduced when no symbol
+    is followed by its inverse. A child is its parent times one factor, so its letters are
+    the parent's joined to the factor's: only the junction is reduced, and by
+    confluence this is the normal form of the whole product. A caller that
+    needs a child's parent finds it at symbols[:-1]. The last level is handed
+    out, never stored.
+    """
+    level = [((), ())]
+    for depth in range(1, max_syllables + 1):
+        nxt = []
+        for symbols, letters in level:
+            cancelling = (symbols[-1][0], -symbols[-1][1]) if symbols else None
+            for s, f in factors:
+                if s != cancelling:
+                    child = (symbols + (s,), _join(letters, f))
+                    yield child
+                    if depth < max_syllables:
+                        nxt.append(child)
+        level = nxt
+
+
 def _pair_survives(s: Syllable, t: Syllable, fam: WordFamily) -> bool:
     """The outer-letter check of adjacent syllables s, t of opposite signs:
     (r_n, r_m^-1) at a +- change, (w_n^-1, w_m) at a -+ change."""
@@ -247,42 +276,6 @@ def _pair_survives(s: Syllable, t: Syllable, fam: WordFamily) -> bool:
     if e1 == 1:
         return _outer_letters_survive(reverse(fam.word(n1)), reverse(fam.word(n2)).inverse())
     return _outer_letters_survive(fam.word(n1).inverse(), fam.word(n2))
-
-
-def _symbol_walk(
-    fam: WordFamily, max_syllables: int
-) -> Iterator[Tuple[Tuple[Syllable, ...], Tuple[Letter, ...], int, bool]]:
-    """Every nonempty reduced symbol word up to max_syllables syllables, as
-    (syllables, letters of expand(sw, fam), sign-change pairs, whether its
-    last pair fails), in levels by length with the sorted alphabet inside
-    each level.
-
-    A child is its parent plus one syllable: its letters are the parent's
-    joined to that syllable's block, and its pairs are the parent's plus the
-    one new adjacent pair. Each distinct pair verdict is computed once. The
-    last level is handed out, never stored.
-    """
-    alphabet = sorted((n, e) for n in range(1, fam.max_index + 1) for e in (1, -1))
-    blocks = {s: expand(SymbolWord((s,)), fam).letters for s in alphabet}
-    verdicts = {}
-    level = [((), (), 0)]
-    for depth in range(1, max_syllables + 1):
-        nxt = []
-        for syllables, letters, pairs in level:
-            prev = syllables[-1] if syllables else None
-            for s in alphabet:
-                if prev and prev[0] == s[0] and prev[1] == -s[1]:
-                    continue
-                p, fails = pairs, False
-                if prev and prev[1] != s[1]:
-                    if (prev, s) not in verdicts:
-                        verdicts[prev, s] = _pair_survives(prev, s, fam)
-                    p, fails = pairs + 1, not verdicts[prev, s]
-                word, joined = syllables + (s,), _join(letters, blocks[s])
-                yield word, joined, p, fails
-                if depth < max_syllables:
-                    nxt.append((word, joined, p))
-        level = nxt
 
 
 def verify_free_generation(
@@ -296,22 +289,37 @@ def verify_free_generation(
     (w_{n_i}^-1, w_{n_{i+1}}) at a -+ sign change; equal adjacent signs need
     no reduction since the blocks contain only positive letters.
 
-    The symbol words are walked level by level. Each word's normal form is its
-    parent's normal form joined to one precomputed block, so only the junction
-    is reduced; by confluence this equals expand(sw, fam). Each distinct pair
-    verdict is computed once, but pairs_checked counts every occurrence of a
-    pair in every word. Only a word's last pair is checked: its other pairs
-    are its parent's, and the parent comes earlier in the walk, so a failing
-    one has already cleared outer_letters_ok and set the counterexample.
+    The symbol words are the reduced products of the blocks w_n r_n and their
+    inverses, walked by _products in order of length and then of syllables,
+    so the counterexample is the first failing word in that order. A word has
+    its parent's pairs plus at most one new adjacent pair, its last; the
+    parents' pair counts are kept for every level but the last, and each
+    distinct pair verdict is computed once. pairs_checked counts every
+    occurrence of a pair in every word. Only a word's last pair is checked:
+    its other pairs are its parent's, and the parent comes earlier in the
+    walk, so a failing one has already cleared outer_letters_ok and set the
+    counterexample.
     """
     if not is_prefix_free(fam):
         raise PrefixFreeViolated(
             f"family is not prefix-free up to index {fam.max_index}"
         )
+    alphabet = sorted((n, e) for n in range(1, fam.max_index + 1) for e in (1, -1))
+    blocks = [(s, expand(SymbolWord((s,)), fam).letters) for s in alphabet]
+    verdicts = {}
+    parent_pairs = {(): 0}
     words = pairs = 0
     all_nonempty = outer_letters_ok = True
     counterexample = None
-    for syllables, letters, word_pairs, last_fails in _symbol_walk(fam, max_syllables):
+    for syllables, letters in _products(blocks, max_syllables):
+        word_pairs, last_fails = parent_pairs[syllables[:-1]], False
+        if len(syllables) > 1 and syllables[-2][1] != syllables[-1][1]:
+            pair = syllables[-2:]
+            if pair not in verdicts:
+                verdicts[pair] = _pair_survives(*pair, fam)
+            word_pairs, last_fails = word_pairs + 1, not verdicts[pair]
+        if len(syllables) < max_syllables:
+            parent_pairs[syllables] = word_pairs
         words += 1
         pairs += word_pairs
         if not letters:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
-from .freewords import Word, WordFamily, _join, reduce, theta
+from .freewords import EMPTY, Letter, Syllable, Word, WordFamily, _products, reduce, theta
 from .mobius import (
     BASE_POINT,
     Boundary,
@@ -183,46 +183,29 @@ def radial_check(eta: Boundary, orbit: Sequence[Interior]) -> RadialWitness:
     return RadialWitness(eta, c, per_n)
 
 
-def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
-    """Reduced {a,b} normal forms of all products of <= max_syllables factors
-    from gens and their inverses, reduced as symbol sequences first.
-
-    Each product extends a shorter one by one factor, so its normal form is
-    the shorter one's joined to that factor; the longest products are not
-    kept for extension.
-    """
+def _factors(gens: Sequence[Word]) -> List[Tuple[Syllable, Tuple[Letter, ...]]]:
+    """The generators and their inverses as the factors of _products: the
+    symbol (i, e) stands for gens[i] ** e."""
     if not gens:
         raise ValueError("gens must be nonempty")
-    factors = [reduce(g) for g in gens]
-    steps = [
+    return [
         ((i, e), (f if e == 1 else f.inverse()).letters)
-        for i, f in enumerate(factors)
+        for i, f in enumerate(reduce(g) for g in gens)
         for e in (1, -1)
     ]
-    seen = {()}
-    frontier = [(None, ())]  # (the symbol that would cancel, normal form)
-    for depth in range(1, max_syllables + 1):
-        nxt = []
-        for cancelling, letters in frontier:
-            for (i, e), f in steps:
-                if (i, e) == cancelling:
-                    continue
-                nw = _join(letters, f)
-                seen.add(nw)
-                if depth < max_syllables:
-                    nxt.append(((i, -e), nw))
-        frontier = nxt
-    return {Word(w) for w in seen}
 
 
-def theta_subgroups(
-    fam: WordFamily, max_syllables: int
-) -> Tuple[Set[Word], Set[Word]]:
-    """Bounded enumerations of the odd and even theta subgroups,
-    <theta_1, theta_3, ...> and <theta_2, theta_4, ...> up to fam.max_index."""
-    odd = [theta(n, fam) for n in range(1, fam.max_index + 1, 2)]
-    even = [theta(n, fam) for n in range(2, fam.max_index + 1, 2)]
-    return enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
+def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
+    """Reduced {a,b} normal forms of all products of <= max_syllables factors
+    from gens and their inverses, reduced as symbol sequences first."""
+    return {EMPTY} | {Word(w) for _, w in _products(_factors(gens), max_syllables)}
+
+
+def theta_generators(fam: WordFamily) -> Tuple[List[Word], List[Word]]:
+    """The generators of the odd and even theta subgroups, theta_1, theta_3,
+    ... and theta_2, theta_4, ... up to fam.max_index."""
+    thetas = [theta(n, fam) for n in range(1, fam.max_index + 1)]
+    return thetas[0::2], thetas[1::2]
 
 
 def intersect_subgroups(g1: Set[Word], g2: Set[Word]) -> Set[Word]:
@@ -234,45 +217,37 @@ def intersect_subgroups(g1: Set[Word], g2: Set[Word]) -> Set[Word]:
     return g1 & g2
 
 
-def _common_prefix(u: Tuple, v: Tuple) -> int:
-    n = 0
-    for x, y in zip(u, v):
-        if x != y:
-            break
-        n += 1
-    return n
+def _product_matrices(
+    gens: Sequence[Word], max_syllables: int, sd: SchottkyData
+) -> Iterator[Tuple[Word, GroupElement]]:
+    """The normal form and exact matrix of the identity and of each product
+    that enumerate_subgroup enumerates.
 
-
-def _word_matrices(words: Set[Word], sd: SchottkyData) -> Dict[Word, GroupElement]:
-    """The exact matrix of each word.
-
-    The sorted words are walked as the branches of their prefix trie: the
-    letters of each branch go through one word_to_element, which multiplies
-    onto the product of the prefix the branch hangs from, so a prefix shared
-    by many words is multiplied out once.
+    A product's matrix is its parent's times its last factor's, and the
+    factors' matrices come from word_to_element, so no matrix is computed
+    from a normal form.
     """
-    ws = sorted(w.letters for w in words)
-    out = {}
-    # (lo, hi, depth, m): ws[lo:hi] share the prefix ws[lo][:depth], whose product is m
-    todo = [(0, len(ws), 0, GroupElement.identity())] if ws else []
-    while todo:
-        lo, hi, depth, m = todo.pop()
-        if len(ws[lo]) == depth:  # the shared prefix is itself a word; it sorts first
-            out[Word(ws[lo])] = m
-            lo += 1
-        while lo < hi:
-            end = lo + 1
-            while end < hi and ws[end][depth] == ws[lo][depth]:
-                end += 1
-            branch = _common_prefix(ws[lo], ws[end - 1])
-            todo.append((lo, end, branch, m * word_to_element(Word(ws[lo][depth:branch]), sd)))
-            lo = end
-    return out
+    factors = _factors(gens)
+    factor_matrix = {s: word_to_element(Word(f), sd) for s, f in factors}
+    parent_matrix = {(): GroupElement.identity()}
+    yield EMPTY, parent_matrix[()]
+    for symbols, letters in _products(factors, max_syllables):
+        m = parent_matrix[symbols[:-1]] * factor_matrix[symbols[-1]]
+        if len(symbols) < max_syllables:
+            parent_matrix[symbols] = m
+        yield Word(letters), m
 
 
 def intersect_by_matrices(
-    g1: Set[Word], g2: Set[Word], sd: SchottkyData
+    gens1: Sequence[Word], gens2: Sequence[Word], max_syllables: int, sd: SchottkyData
 ) -> Set[Word]:
-    """Cross-check of intersect_subgroups by exact matrix comparison."""
-    in_g1 = set(_word_matrices(g1, sd).values())
-    return {w for w, m in _word_matrices(g2, sd).items() if m in in_g1}
+    """Cross-check of intersect_subgroups by exact matrix comparison: the
+    normal forms of the products of gens2 whose matrix is that of a product
+    of gens1, both up to max_syllables factors.
+
+    The matrices are built from the factors, not from the normal forms, so a
+    wrong normal form that equals a word of the other subgroup shows as a
+    disagreement with intersect_subgroups.
+    """
+    in_g1 = {m for _, m in _product_matrices(gens1, max_syllables, sd)}
+    return {w for w, m in _product_matrices(gens2, max_syllables, sd) if m in in_g1}

@@ -199,9 +199,6 @@ class GroupElement(Value):
     def inverse(self) -> "GroupElement":
         return inverse(self)
 
-    def __call__(self, p: Point) -> Point:
-        return apply(self, p)
-
 
 def _primitive(a: int, b: int, c: int, d: int, scale: int) -> GroupElement:
     """The canonical element of an integer matrix of determinant scale**2:

@@ -11,12 +11,13 @@ from typing import Iterable, List
 
 from .freewords import Word, WordFamily, verify_free_generation
 from .limits import (
+    enumerate_subgroup,
     estimate_limit_point,
     intersect_subgroups,
     limit_point_brackets,
     qi_check,
     radial_check,
-    theta_subgroups,
+    theta_generators,
 )
 from .schottky import Certificate, SchottkyData, Violation, verify_ping_pong
 
@@ -102,7 +103,8 @@ def build_report(
         "max_length": qi.max_length,
     }
 
-    g1, g2 = theta_subgroups(fam, max_syllables)
+    odd, even = theta_generators(fam)
+    g1, g2 = enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
     report["intersection"] = word_strings(intersect_subgroups(g1, g2))
     report["subgroup_sizes"] = {"g1": len(g1), "g2": len(g2)}
     return report

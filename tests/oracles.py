@@ -17,9 +17,10 @@
 - The letter-by-letter free-generation verifier that the incremental
   symbol-word walk of freewords.verify_free_generation replaced: it
   re-expands and re-reduces every symbol word and re-checks every pair.
-- The matrix cross-check of the subgroup intersection with every word's
-  matrix built letter by letter, which the prefix-trie walk of
-  limits.intersect_by_matrices replaced.
+- The matrix cross-check of the subgroup intersection with each normal
+  form's matrix built letter by letter. limits.intersect_by_matrices
+  builds each product's matrix from its parent's and one factor's instead,
+  never from a normal form.
 - JSON Schemas of the construction report and of the SchottkyData input
   document: the input shape check of SchottkyData.from_json_dict must
   accept exactly the documents SCHOTTKY_SCHEMA accepts.

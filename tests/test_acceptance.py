@@ -139,10 +139,11 @@ def test_criterion_04_free_generation():
 def test_criterion_05_intersection_triviality(sd):
     fam = WordFamily(max_index=6)
     t0 = time.perf_counter()
-    g1 = enumerate_subgroup([theta(n, fam) for n in (1, 3, 5)], 3)
-    g2 = enumerate_subgroup([theta(n, fam) for n in (2, 4, 6)], 3)
+    odd = [theta(n, fam) for n in (1, 3, 5)]
+    even = [theta(n, fam) for n in (2, 4, 6)]
+    g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(even, 3)
     common = intersect_subgroups(g1, g2)
-    cross = intersect_by_matrices(g1, g2, sd)
+    cross = intersect_by_matrices(odd, even, 3, sd)
     elapsed = time.perf_counter() - t0
     assert common == {Word()}
     assert cross == common

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from schottky_limits.freewords import EMPTY, WordFamily, reduce, theta
 from schottky_limits.limits import (
-    _word_matrices,
+    _product_matrices,
+    enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
+    intersect_subgroups,
     limit_point_brackets,
     orbit_samples,
-    theta_subgroups,
+    theta_generators,
 )
 from schottky_limits.mobius import (
     BASE_POINT,
@@ -170,23 +172,34 @@ class TestIntersectByMatrices:
     @pytest.mark.parametrize("seed", [None, 2, 3, 11])
     @pytest.mark.parametrize("max_index, max_syllables", [(4, 2), (6, 3)])
     def test_trie_walk_equals_letter_by_letter(self, seed, max_index, max_syllables):
+        """The matrices built down the trie of symbol words, each product's
+        parent times one factor, give the intersection that each normal
+        form's matrix built letter by letter gives."""
         sd = instance(seed)
-        g1, g2 = theta_subgroups(WordFamily(max_index=max_index), max_syllables)
-        assert _word_matrices(g1 | g2, sd) == {w: word_to_element(w, sd) for w in g1 | g2}
-        assert intersect_by_matrices(g1, g2, sd) == ref_intersect_by_matrices(g1, g2, sd)
+        odd, even = theta_generators(WordFamily(max_index=max_index))
+        g1 = enumerate_subgroup(odd, max_syllables)
+        g2 = enumerate_subgroup(even, max_syllables)
+        got = intersect_by_matrices(odd, even, max_syllables, sd)
+        assert got == ref_intersect_by_matrices(g1, g2, sd) == {EMPTY}
+        for gens, g in ((odd, g1), (even, g2)):
+            walked = dict(_product_matrices(gens, max_syllables, sd))
+            assert walked == {w: word_to_element(w, sd) for w in g}
 
     @pytest.mark.parametrize("seed", [None, 11])
-    def test_exactly_one_shared_word(self, seed):
+    def test_nontrivial_intersection(self, seed):
         sd = instance(seed)
-        g1, g2 = theta_subgroups(WordFamily(max_index=6), 3)
-        shared = max(g1, key=lambda w: (len(w), w.to_string()))
-        g2 = (g2 - {EMPTY}) | {shared}
-        assert intersect_by_matrices(g1, g2, sd) == {shared}
-        assert ref_intersect_by_matrices(g1, g2, sd) == {shared}
+        odd, _ = theta_generators(WordFamily(max_index=6))
+        cyclic = [theta(3)]
+        g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(cyclic, 3)
+        got = intersect_by_matrices(odd, cyclic, 3, sd)
+        assert got == ref_intersect_by_matrices(g1, g2, sd) == intersect_subgroups(g1, g2) == g2
+        assert len(got) == 7
 
     def test_empty_sets(self, sd):
-        assert _word_matrices(set(), sd) == {}
-        assert intersect_by_matrices(set(), {EMPTY}, sd) == set()
+        with pytest.raises(ValueError):
+            intersect_by_matrices([], [theta(1)], 2, sd)
+        with pytest.raises(ValueError):
+            intersect_by_matrices([theta(1)], [], 2, sd)
 
 
 class TestJsonRoundTrip:

@@ -177,10 +177,11 @@ class TestSubgroups:
             enumerate_subgroup([], 2)
 
     def test_intersection_is_trivial(self, sd, fam6):
-        g1 = enumerate_subgroup([theta(n, fam6) for n in (1, 3, 5)], 3)
-        g2 = enumerate_subgroup([theta(n, fam6) for n in (2, 4, 6)], 3)
+        odd = [theta(n, fam6) for n in (1, 3, 5)]
+        even = [theta(n, fam6) for n in (2, 4, 6)]
+        g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(even, 3)
         assert intersect_subgroups(g1, g2) == {EMPTY}
-        assert intersect_by_matrices(g1, g2, sd) == {EMPTY}
+        assert intersect_by_matrices(odd, even, 3, sd) == {EMPTY}
 
     def test_self_intersection(self, sd, fam6):
         s = enumerate_subgroup([theta(1, fam6)], 2)
