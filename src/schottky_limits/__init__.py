@@ -45,7 +45,6 @@ from .limits import (
     RadialWitness,
     enumerate_subgroup,
     estimate_limit_point,
-    intersect_subgroups,
     limit_point_brackets,
     qi_check,
     radial_check,

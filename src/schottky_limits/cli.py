@@ -7,8 +7,11 @@ looked up when it runs. Options are spelled out in full (no abbreviations),
 as `--opt VALUE` or `--opt=VALUE`; `--help` shows the commands or a
 command's options.
 
-Exit status: 0 when every verification in the command's scope passed,
-1 on a violation or counterexample, 2 on usage errors (with the usage on
+Each command returns its output, a JSON document or the SVG text, and
+whether every verification in its scope passed; main alone writes the
+output (to stdout or --out) and sets the exit status. Exit status: 0 when
+every verification in the command's scope passed, 1 on a violation,
+counterexample or unreached tolerance, 2 on usage errors (with the usage on
 stderr), on input errors and on an --out path that cannot be written.
 
 Custom generators are supplied as a SchottkyData JSON document:
@@ -82,15 +85,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     except OSError as exc:
         _fail(f"output error: {exc}", 2)
-
-
-def _dump(doc: dict, out: Optional[str]) -> None:
-    _emit(report_mod.dumps(doc), out)
-
-
-def _tolerance_not_reached(exc: limits.ToleranceNotReached, out: Optional[str]) -> NoReturn:
-    _dump({"status": "tolerance-not-reached", "detail": str(exc)}, out)
-    sys.exit(1)
 
 
 # -- options -------------------------------------------------------------------
@@ -188,8 +182,9 @@ class _Main:
         self.main()
 
     def main(self, args=None, prog_name: Optional[str] = None,
-             standalone_mode: bool = True) -> None:
-        """Run the command in args (default: sys.argv[1:]).
+             standalone_mode: bool = True) -> NoReturn:
+        """Run the command in args (default: sys.argv[1:]), write its output
+        and exit with its verdict.
 
         The keywords are those of a click command, for callers written
         against one; every command ends with SystemExit in either mode.
@@ -200,7 +195,13 @@ class _Main:
         if unknown:  # with the usage of the command, not of the command line
             commands[parsed.command].error(f"unrecognized arguments: {' '.join(unknown)}")
         parsed = vars(parsed)
-        globals()[parsed.pop("command")](**parsed)
+        out = parsed.pop("out")
+        try:
+            output, passed = globals()[parsed.pop("command")](**parsed)
+        except limits.ToleranceNotReached as exc:
+            output, passed = {"status": "tolerance-not-reached", "detail": str(exc)}, False
+        _emit(output if isinstance(output, str) else report_mod.dumps(output), out)
+        sys.exit(0 if passed else 1)
 
 
 #: The console script; main.main(args, prog_name, standalone_mode) runs args.
@@ -209,81 +210,64 @@ main = _Main()
 
 # -- commands ------------------------------------------------------------------
 
-def certify(input_path, out):
+def certify(input_path):
     """Certify the ping-pong configuration with exact arithmetic."""
-    sd = _load_schottky(input_path)
-    verdict = verify_ping_pong(sd)
-    _dump(report_mod.certificate_dict(verdict), out)
-    sys.exit(0 if isinstance(verdict, Certificate) else 1)
+    verdict = verify_ping_pong(_load_schottky(input_path))
+    return report_mod.certificate_dict(verdict), isinstance(verdict, Certificate)
 
 
-def freeness(max_index, max_syllables, out):
+def freeness(max_index, max_syllables):
     """Exhaustively verify bounded free generation of the doubled words."""
     rep = verify_free_generation(WordFamily(max_index=max_index), max_syllables)
-    _dump(
-        {
-            "status": "verified" if rep.verified else "counterexample",
-            "note": "bounded verification",
-            "max_index": rep.max_index,
-            "max_syllables": rep.max_syllables,
-            "words_checked": rep.words_checked,
-            "pairs_checked": rep.pairs_checked,
-            "counterexample": rep.counterexample,
-        },
-        out,
-    )
-    sys.exit(0 if rep.verified else 1)
+    doc = {
+        "status": "verified" if rep.verified else "counterexample",
+        "note": "bounded verification",
+        "max_index": rep.max_index,
+        "max_syllables": rep.max_syllables,
+        "words_checked": rep.words_checked,
+        "pairs_checked": rep.pairs_checked,
+        "counterexample": rep.counterexample,
+    }
+    return doc, rep.verified
 
 
-def construct(input_path, n_max, tol, out):
+def construct(input_path, n_max, tol):
     """Bracket the shared limit point and report the radial witness."""
-    sd = _load_certified(input_path)
-    try:
-        radial = report_mod.radial_fragment(sd, n_max, tol)
-    except limits.ToleranceNotReached as exc:
-        _tolerance_not_reached(exc, out)
-    _dump({"status": "ok", **radial}, out)
-    sys.exit(0 if radial["radial_bounded_trend"] else 1)
+    radial = report_mod.radial_fragment(_load_certified(input_path), n_max, tol)
+    return {"status": "ok", **radial}, radial["radial_bounded_trend"]
 
 
-def intersect(input_path, max_index, max_syllables, out):
+def intersect(input_path, max_index, max_syllables):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
     sd = _load_certified(input_path)
     odd, even = limits.theta_generators(WordFamily(max_index=max_index))
     g1 = limits.enumerate_subgroup(odd, max_syllables)
     g2 = limits.enumerate_subgroup(even, max_syllables)
-    common = limits.intersect_subgroups(g1, g2)
-    cross = limits.intersect_by_matrices(odd, even, max_syllables, sd)
+    common = g1 & g2
+    agrees = limits.intersect_by_matrices(odd, even, max_syllables, sd) == common
     doc = {
         "g1_size": len(g1),
         "g2_size": len(g2),
         "intersection": report_mod.word_strings(common),
-        "matrix_cross_check_agrees": cross == common,
+        "matrix_cross_check_agrees": agrees,
     }
-    _dump(doc, out)
-    trivial = doc["intersection"] == ["e"] and doc["matrix_cross_check_agrees"]
-    sys.exit(0 if trivial else 1)
+    return doc, doc["intersection"] == ["e"] and agrees
 
 
-def report(input_path, n_max, max_index, max_syllables, max_length, tol, out):
+def report(input_path, n_max, max_index, max_syllables, max_length, tol):
     """Run the full pipeline into one construction report."""
-    sd = _load_schottky(input_path)
-    try:
-        doc = report_mod.build_report(
-            sd,
-            n_max=n_max,
-            max_index=max_index,
-            max_syllables=max_syllables,
-            max_length=max_length,
-            tol=tol,
-        )
-    except limits.ToleranceNotReached as exc:
-        _tolerance_not_reached(exc, out)
-    _dump(doc, out)
-    sys.exit(0 if report_mod.report_verified(doc) else 1)
+    doc = report_mod.build_report(
+        _load_schottky(input_path),
+        n_max=n_max,
+        max_index=max_index,
+        max_syllables=max_syllables,
+        max_length=max_length,
+        tol=tol,
+    )
+    return doc, report_mod.report_verified(doc)
 
 
-def render(input_path, n_max, tol, out):
+def render(input_path, n_max, tol):
     """Emit an SVG of the construction on the Poincare disk."""
     from .render import render_svg  # only this command loads the SVG writer
 
@@ -291,12 +275,8 @@ def render(input_path, n_max, tol, out):
     # eta is bracketed at depth 12 at least; the figure shows the first n_max
     # disks and orbit points of the same walk
     brackets, orbit = limits.limit_point_brackets(sd, max(n_max, 12))
-    try:
-        eta = limits.estimate_limit_point(brackets, tol)
-    except limits.ToleranceNotReached as exc:
-        _tolerance_not_reached(exc, out)
-    _emit(render_svg(sd, brackets[:n_max], orbit[:n_max], eta), out)
-    sys.exit(0)
+    eta = limits.estimate_limit_point(brackets, tol)
+    return render_svg(sd, brackets[:n_max], orbit[:n_max], eta), True
 
 
 if __name__ == "__main__":

@@ -197,7 +197,11 @@ def _factors(gens: Sequence[Word]) -> List[Tuple[Syllable, Tuple[Letter, ...]]]:
 
 def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
     """Reduced {a,b} normal forms of all products of <= max_syllables factors
-    from gens and their inverses, reduced as symbol sequences first."""
+    from gens and their inverses, reduced as symbol sequences first.
+
+    Normal forms are faithful once the ambient group is certified free, so
+    the & of two such sets is the intersection of the enumerated elements.
+    """
     return {EMPTY} | {Word(w) for _, w in _products(_factors(gens), max_syllables)}
 
 
@@ -206,15 +210,6 @@ def theta_generators(fam: WordFamily) -> Tuple[List[Word], List[Word]]:
     ... and theta_2, theta_4, ... up to fam.max_index."""
     thetas = [theta(n, fam) for n in range(1, fam.max_index + 1)]
     return thetas[0::2], thetas[1::2]
-
-
-def intersect_subgroups(g1: Set[Word], g2: Set[Word]) -> Set[Word]:
-    """Exact intersection on reduced normal forms.
-
-    Valid as a group-element intersection once freeness of the ambient group
-    is certified, since normal forms are then faithful.
-    """
-    return g1 & g2
 
 
 def _product_matrices(
@@ -241,13 +236,13 @@ def _product_matrices(
 def intersect_by_matrices(
     gens1: Sequence[Word], gens2: Sequence[Word], max_syllables: int, sd: SchottkyData
 ) -> Set[Word]:
-    """Cross-check of intersect_subgroups by exact matrix comparison: the
-    normal forms of the products of gens2 whose matrix is that of a product
-    of gens1, both up to max_syllables factors.
+    """Cross-check, by exact matrix comparison, of the intersection of the
+    enumerate_subgroup sets: the normal forms of the products of gens2 whose
+    matrix is that of a product of gens1, both up to max_syllables factors.
 
     The matrices are built from the factors, not from the normal forms, so a
     wrong normal form that equals a word of the other subgroup shows as a
-    disagreement with intersect_subgroups.
+    disagreement with the normal-form intersection.
     """
     in_g1 = {m for _, m in _product_matrices(gens1, max_syllables, sd)}
     return {w for w, m in _product_matrices(gens2, max_syllables, sd) if m in in_g1}

@@ -13,7 +13,6 @@ from .freewords import Word, WordFamily, verify_free_generation
 from .limits import (
     enumerate_subgroup,
     estimate_limit_point,
-    intersect_subgroups,
     limit_point_brackets,
     qi_check,
     radial_check,
@@ -105,7 +104,7 @@ def build_report(
 
     odd, even = theta_generators(fam)
     g1, g2 = enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
-    report["intersection"] = word_strings(intersect_subgroups(g1, g2))
+    report["intersection"] = word_strings(g1 & g2)
     report["subgroup_sizes"] = {"g1": len(g1), "g2": len(g2)}
     return report
 

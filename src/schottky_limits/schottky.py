@@ -247,10 +247,6 @@ class Certificate(Value):
     def __init__(self, checks: Tuple[str, ...]):
         init_field(self, "checks", checks)
 
-    @property
-    def certified(self) -> bool:
-        return True
-
 
 class Violation(Value):
     __slots__ = ("name", "detail")
@@ -258,10 +254,6 @@ class Violation(Value):
     def __init__(self, name: str, detail: str):
         init_field(self, "name", name)
         init_field(self, "detail", detail)
-
-    @property
-    def certified(self) -> bool:
-        return False
 
 
 def verify_ping_pong(sd: SchottkyData) -> Union[Certificate, Violation]:

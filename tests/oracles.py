@@ -13,6 +13,9 @@
 - The standard-position ray geometry that the closed forms of
   mobius.dist_to_ray and mobius.points_along_ray replaced, and the distance
   to a ray in mpmath from the exact standard position.
+- A float sampler of a ray, one standard-position frame per ray, and the
+  float half-plane distance: the sampling oracle of dist_to_ray measures
+  with these, never with the package's points or distance.
 - Boundary fixed points of a group element.
 - The letter-by-letter free-generation verifier that the incremental
   symbol-word walk of freewords.verify_free_generation replaced: it
@@ -247,6 +250,26 @@ def ref_point_along_ray(ray, t):
     _, base_y = matrix_apply(g, ray.base.x, ray.base.y)
     a, b, c, d = g
     return matrix_apply((d, -b, -c, a), 0.0, float(base_y) * math.exp(t))
+
+
+def ray_sampler(ray):
+    """t -> the float point (x, y) at distance t from the base along the ray.
+
+    The frame is built once per ray, in floats: the adjugate of
+    std_position(ray) and the standard-position base height h. Each sample is
+    one float matrix_apply to 0 + i h e^t.
+    """
+    a, b, c, d = (float(v) for v in std_position(ray))
+    _, h = matrix_apply((a, b, c, d), float(ray.base.x), float(ray.base.y))
+    back = (d, -b, -c, a)
+    return lambda t: matrix_apply(back, 0.0, h * math.exp(t))
+
+
+def float_hyp_dist(p, q):
+    """Half-plane distance of float points (x, y): 2 asinh of half the
+    Euclidean distance over the geometric mean of the heights."""
+    chord = math.hypot(p[0] - q[0], p[1] - q[1])
+    return 2.0 * math.asinh(chord / (2.0 * math.sqrt(p[1] * q[1])))
 
 
 # -- fixed points, kept as references for the limit-point tests --------------

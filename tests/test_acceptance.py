@@ -15,7 +15,6 @@ from schottky_limits.limits import (
     enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
-    intersect_subgroups,
     limit_point_brackets,
     orbit_samples,
     qi_check,
@@ -87,7 +86,7 @@ def test_criterion_01_ping_pong_certificate(sd):
         assert isinstance(v, (Certificate, Violation))
         if isinstance(v, Violation):
             assert v.name
-        verdicts.append(v.certified)
+        verdicts.append(isinstance(v, Certificate))
     report(
         f"criterion 1 PASS: certificate in {elapsed * 1e3:.1f} ms; "
         f"radius mutations -> certified={verdicts}"
@@ -142,7 +141,7 @@ def test_criterion_05_intersection_triviality(sd):
     odd = [theta(n, fam) for n in (1, 3, 5)]
     even = [theta(n, fam) for n in (2, 4, 6)]
     g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(even, 3)
-    common = intersect_subgroups(g1, g2)
+    common = g1 & g2
     cross = intersect_by_matrices(odd, even, 3, sd)
     elapsed = time.perf_counter() - t0
     assert common == {Word()}

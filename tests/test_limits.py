@@ -10,7 +10,6 @@ from schottky_limits.limits import (
     enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
-    intersect_subgroups,
     limit_point_brackets,
     orbit_samples,
     qi_check,
@@ -180,13 +179,8 @@ class TestSubgroups:
         odd = [theta(n, fam6) for n in (1, 3, 5)]
         even = [theta(n, fam6) for n in (2, 4, 6)]
         g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(even, 3)
-        assert intersect_subgroups(g1, g2) == {EMPTY}
+        assert g1 & g2 == {EMPTY}
         assert intersect_by_matrices(odd, even, 3, sd) == {EMPTY}
-
-    def test_self_intersection(self, sd, fam6):
-        s = enumerate_subgroup([theta(1, fam6)], 2)
-        assert intersect_subgroups(s, s) == s
-        assert intersect_subgroups(s, {EMPTY}) == {EMPTY}
 
 
 class TestPointAlongRay:

@@ -26,7 +26,7 @@ from schottky_limits.mobius import (
 )
 
 from conftest import interior_points, unit_det_matrices
-from oracles import fixed_points
+from oracles import fixed_points, float_hyp_dist, ray_sampler
 
 I = GroupElement.identity()
 DIAG = GroupElement.of(2, 0, 0, Fraction(1, 2))
@@ -204,15 +204,15 @@ class TestHypDist:
 
 
 def sampled_ray_min(p, ray, coarse=400):
-    """Brute-force minimization of hyp_dist over a parameterization of the
-    ray, refined by ternary search (distance along a geodesic is convex)."""
-    from schottky_limits.mobius import points_along_ray
-
-    reach = hyp_dist(ray.base, p) + 1.0
+    """Brute-force minimization of the float half-plane distance over the
+    oracle's parameterization of the ray, refined by ternary search (distance
+    along a geodesic is convex)."""
+    point_at = ray_sampler(ray)
+    q = (float(p.x), float(p.y))
+    reach = float_hyp_dist((float(ray.base.x), float(ray.base.y)), q) + 1.0
 
     def f(t):
-        z = points_along_ray(ray, [t])[0]
-        return hyp_dist(p, Interior(z.real, z.imag))
+        return float_hyp_dist(point_at(t), q)
 
     ts = [reach * k / coarse for k in range(coarse + 1)]
     best = min(range(len(ts)), key=lambda i: f(ts[i]))
