@@ -239,24 +239,19 @@ def construct(input_path, n_max, tol):
 
 def intersect(input_path, max_index, max_syllables):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
-    sd = _load_certified(input_path)
-    odd, even = limits.theta_generators(WordFamily(max_index=max_index))
-    g1 = limits.enumerate_subgroup(odd, max_syllables)
-    g2 = limits.enumerate_subgroup(even, max_syllables)
-    common = g1 & g2
-    agrees = limits.intersect_by_matrices(odd, even, max_syllables, sd) == common
+    meet = limits.theta_intersection(_load_certified(input_path), max_index, max_syllables)
     doc = {
-        "g1_size": len(g1),
-        "g2_size": len(g2),
-        "intersection": report_mod.word_strings(common),
-        "matrix_cross_check_agrees": agrees,
+        "g1_size": len(meet.g1),
+        "g2_size": len(meet.g2),
+        "intersection": report_mod.word_strings(meet.common),
+        "matrix_cross_check_agrees": meet.cross_check_agrees,
     }
-    return doc, doc["intersection"] == ["e"] and agrees
+    return doc, meet.verified
 
 
 def report(input_path, n_max, max_index, max_syllables, max_length, tol):
     """Run the full pipeline into one construction report."""
-    doc = report_mod.build_report(
+    return report_mod.build_report(
         _load_schottky(input_path),
         n_max=n_max,
         max_index=max_index,
@@ -264,7 +259,6 @@ def report(input_path, n_max, max_index, max_syllables, max_length, tol):
         max_length=max_length,
         tol=tol,
     )
-    return doc, report_mod.report_verified(doc)
 
 
 def render(input_path, n_max, tol):

@@ -1,6 +1,7 @@
 """Orbit geometry of the Schottky group: bounded enumeration, limit-point
 bracketing for the theta sequence, radial certification, quasi-isometry
-envelopes, and bounded subgroup intersection.
+envelopes, and bounded subgroup intersection. theta_intersection is the one
+intersection stage of intersect and report, with a matrix cross-check.
 
 All verdicts here are bounded-depth evidence at the stated ranges, never
 claims about the infinite group.
@@ -246,3 +247,32 @@ def intersect_by_matrices(
     """
     in_g1 = {m for _, m in _product_matrices(gens1, max_syllables, sd)}
     return {w for w, m in _product_matrices(gens2, max_syllables, sd) if m in in_g1}
+
+
+class ThetaIntersection(Value):
+    """The odd and even theta subgroups of enumerate_subgroup, their
+    normal-form intersection, and whether intersect_by_matrices agrees."""
+
+    __slots__ = ("g1", "g2", "common", "cross_check_agrees")
+
+    def __init__(self, g1: Set[Word], g2: Set[Word], common: Set[Word], cross_check_agrees: bool):
+        init_field(self, "g1", g1)
+        init_field(self, "g2", g2)
+        init_field(self, "common", common)
+        init_field(self, "cross_check_agrees", cross_check_agrees)
+
+    @property
+    def verified(self) -> bool:
+        """The intersection is {e}, and the cross-check agrees."""
+        return self.common == {EMPTY} and self.cross_check_agrees
+
+
+def theta_intersection(sd: SchottkyData, max_index: int, max_syllables: int) -> ThetaIntersection:
+    """The intersection stage of intersect and report: the odd and even theta
+    subgroups up to max_index, each enumerated up to max_syllables factors,
+    intersected by normal forms and cross-checked by exact matrices."""
+    odd, even = theta_generators(WordFamily(max_index=max_index))
+    g1, g2 = enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
+    common = g1 & g2
+    agrees = intersect_by_matrices(odd, even, max_syllables, sd) == common
+    return ThetaIntersection(g1, g2, common, agrees)

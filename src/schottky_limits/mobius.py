@@ -13,15 +13,14 @@ metric (Beardon, The Geometry of Discrete Groups, ch. 7): the distance
 between two points and the distance to a geodesic ray are each one exact
 rational of integer numerators, rounded to a float once, before the final
 square root or asinh; whether the foot of the perpendicular lies on the ray
-is decided exactly. Besides those distances, the only floats are the points
-along a ray for drawing, which are complex numbers.
+is decided exactly. Those distances are the only floats.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import Union
 
 from .value import Value, init_field
 
@@ -325,40 +324,3 @@ def dist_to_ray(p: Point, ray: GeodesicRay) -> float:
         return math.asinh(num / den)
     except OverflowError:  # sinh d beyond the float range: d = log(2 sinh d)
         return math.log(2 * num) - math.log(den)
-
-
-def points_along_ray(ray: GeodesicRay, ts: Sequence[float]) -> List[complex]:
-    """The points at hyperbolic distances ts from the base along the ray, as
-    float complex numbers x + iy for drawing.
-
-    g(z) = (z - e')/(z - e), with a row (0, 1) for an endpoint at Infinity,
-    sends the ray onto the imaginary axis upward from the height h of g(b);
-    the point at distance t is the image of i h e^t under the adjugate
-    (A, B, C, D) of g. The frame (h and the entries) is one exact
-    computation per ray, and each point costs a few float operations: those
-    of the Mobius action of (A, B, C, D) on 0 + i h e^t, in the same order.
-    """
-    bx, by = ray.base.x, ray.base.y
-    e = ray.endpoint if isinstance(ray.endpoint, Infinity) else ray.endpoint.x
-    if e is INFINITY:
-        far = bx
-    elif bx == e:
-        far = INFINITY
-    else:
-        far = (bx * bx + by * by - e * bx) / (bx - e)
-
-    def row(v):
-        return (0, 1) if v is INFINITY else (1, -v)
-
-    (a, b), (c, d) = row(far), row(e)
-    det = abs(a * d - b * c)
-    h = float(det * by / ((c * bx + d) ** 2 + (c * by) ** 2))
-    # A, B, C, D = d, -b, -c, a; the sign of a row leaves every product unchanged
-    fbd, fd2 = float(-b) * float(a), float(a) ** 2
-    fc, fac, fdet = float(-c), float(d * -c), float(det)
-    points = []
-    for t in ts:
-        y = h * math.exp(t)
-        den = fd2 + (fc * y) ** 2
-        points.append(complex((fbd + fac * y * y) / den, fdet * y / den))
-    return points

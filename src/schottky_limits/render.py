@@ -1,8 +1,8 @@
 """SVG figure of the construction on the Poincare disk.
 
-The geometry is computed in the half-plane by the caller; this module only
-maps what it is given through the Cayley transform w = (z - i)/(z + i) onto
-a bounded canvas.
+The geometry is computed in the half-plane by the caller; this module maps
+what it is given through the Cayley transform w = (z - i)/(z + i) onto a
+bounded canvas, and draws the ray from i toward eta as a disk radius.
 Schottky circles carry class "schottky", theta orbit markers class "orbit",
 nested disks class "nested".
 """
@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .mobius import BASE_POINT, Boundary, GeodesicRay, Interior, points_along_ray
+from .mobius import BASE_POINT, Boundary, Interior
 from .schottky import SchottkyData
 
 SIZE = 600.0
@@ -107,9 +107,10 @@ def render_svg(
     parts += [_circle("nested", b, "#bbbbbb", "0.6") for b in brackets]
     parts += [_circle("schottky", c.interval(), "#1f77b4", "1.2") for c in sd.circles()]
 
-    ray = GeodesicRay(BASE_POINT, eta)
-    ts = [12.0 * k / 128 for k in range(129)]
-    pts = [to_canvas(cayley(z)) for z in points_along_ray(ray, ts)]
+    # cayley(i) = 0: the ray from i to eta is the radius toward cayley(eta),
+    # and the point at distance t = 12 k/128 lies at tanh(t/2) along it
+    end = cayley(complex(float(eta.x)))
+    pts = [to_canvas(math.tanh(6.0 * k / 128) * end) for k in range(129)]
     d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
     parts.append(
         f'<path class="ray" d="{d}" fill="none" stroke="#d62728" '

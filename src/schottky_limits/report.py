@@ -1,4 +1,4 @@
-"""Full-pipeline construction report and its stable serialization.
+"""Full-pipeline construction report, its verdict and its stable serialization.
 
 The report JSON is deterministic: fixed field order, rationals as "p/q"
 strings, floats as decimal strings with 12 significant digits.
@@ -7,16 +7,15 @@ strings, floats as decimal strings with 12 significant digits.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from .freewords import Word, WordFamily, verify_free_generation
 from .limits import (
-    enumerate_subgroup,
     estimate_limit_point,
     limit_point_brackets,
     qi_check,
     radial_check,
-    theta_generators,
+    theta_intersection,
 )
 from .schottky import Certificate, SchottkyData, Violation, verify_ping_pong
 
@@ -64,21 +63,21 @@ def build_report(
     max_syllables: int = 3,
     max_length: int = 8,
     tol: float = 1e-10,
-) -> dict:
-    """Run the whole pipeline and assemble the construction report.
+) -> Tuple[dict, bool]:
+    """Run the whole pipeline into the construction report and its verdict.
 
     Pipeline: ping-pong certificate, bounded free-generation check, limit
     point bracketing, radial witness, QI envelope, and the odd/even theta
-    subgroup intersection at the given syllable depth.
+    subgroup intersection at the given syllable depth. The verdict ANDs all
+    but the QI envelope, which is a measurement.
     """
     verdict = verify_ping_pong(sd)
     report: dict = {"certificate": certificate_dict(verdict)}
     if isinstance(verdict, Violation):
-        return report
+        return report, False
 
     # exhaustive combinatorics stays at max_index; geometry walks theta to n_max
-    fam = WordFamily(max_index=max_index)
-    free = verify_free_generation(fam, max_syllables)
+    free = verify_free_generation(WordFamily(max_index=max_index), max_syllables)
     report["free_generation"] = {
         "verified": free.verified,
         "words_checked": free.words_checked,
@@ -87,7 +86,7 @@ def build_report(
         "note": "bounded verification",
     }
 
-    report.update(radial_fragment(sd, n_max, tol))
+    report.update(radial := radial_fragment(sd, n_max, tol))
 
     qi = qi_check(sd, max_length)
     report["qi"] = {
@@ -102,20 +101,10 @@ def build_report(
         "max_length": qi.max_length,
     }
 
-    odd, even = theta_generators(fam)
-    g1, g2 = enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
-    report["intersection"] = word_strings(g1 & g2)
-    report["subgroup_sizes"] = {"g1": len(g1), "g2": len(g2)}
-    return report
-
-
-def report_verified(report: dict) -> bool:
-    return (
-        report["certificate"]["status"] == "certified"
-        and report.get("free_generation", {}).get("verified", False)
-        and report.get("radial_bounded_trend", False)
-        and report.get("intersection") == ["e"]
-    )
+    meet = theta_intersection(sd, max_index, max_syllables)
+    report["intersection"] = word_strings(meet.common)
+    report["subgroup_sizes"] = {"g1": len(meet.g1), "g2": len(meet.g2)}
+    return report, free.verified and radial["radial_bounded_trend"] and meet.verified
 
 
 def dumps(report: dict) -> str:

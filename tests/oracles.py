@@ -10,9 +10,10 @@
 - The exact Mobius action and hyperbolic distance on Fraction numerators
   and denominators, which the integer-triple points of mobius.Interior
   replaced.
-- The standard-position ray geometry that the closed forms of
-  mobius.dist_to_ray and mobius.points_along_ray replaced, and the distance
-  to a ray in mpmath from the exact standard position.
+- The standard-position ray geometry that the closed form of
+  mobius.dist_to_ray replaced, the point at a distance along a ray that the
+  ray of render.render_svg is checked against, and the distance to a ray in
+  mpmath from the exact standard position.
 - A float sampler of a ray, one standard-position frame per ray, and the
   float half-plane distance: the sampling oracle of dist_to_ray measures
   with these, never with the package's points or distance.
@@ -182,8 +183,9 @@ def ref_hyp_dist(p, q):
 # -- the standard-position ray geometry that the closed forms replaced --------
 #
 # Each ray is moved onto the upward imaginary axis by an exact matrix and the
-# point is moved with it; mobius.dist_to_ray and mobius.points_along_ray must
-# give exactly these floats.
+# point is moved with it; mobius.dist_to_ray must give exactly these floats,
+# and the ray that render.render_svg draws must follow these points to the
+# canvas resolution.
 
 
 def std_position(ray):

@@ -461,6 +461,22 @@ class TestSinglePath:
             small_report["subgroup_sizes"]
         )
 
+    def test_cross_check_fails_intersect_and_report(self, monkeypatch, small_report):
+        """A matrix cross-check that disagrees with the normal forms fails both
+        commands; the report document itself has no cross-check field."""
+        from schottky_limits import limits
+
+        monkeypatch.setattr(limits, "intersect_by_matrices", lambda *args: set())
+        result = invoke(["intersect", "--max-index", "4", "--max-syllables", "2"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["matrix_cross_check_agrees"] is False
+        result = invoke([
+            "report", "--n-max", "6", "--max-index", "4",
+            "--max-syllables", "2", "--max-length", "3",
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == small_report
+
     @pytest.mark.parametrize("args, steps", [
         (["construct", "--n-max", "24"], 24),
         (["render", "--n-max", "24"], 24),

@@ -1,10 +1,11 @@
 """The integer arithmetic of GroupElement, apply, hyp_dist and nested_disk,
-and the closed-form ray geometry of dist_to_ray and points_along_ray, give
-exactly the rationals (and bit-identical floats) of the reference formulas
-in oracles.py."""
+and the closed-form ray geometry of dist_to_ray, give exactly the rationals
+(and bit-identical floats) of the reference formulas in oracles.py; the ray
+that render_svg draws follows the reference ray to the canvas resolution."""
 
 import importlib.util
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,8 +35,8 @@ from schottky_limits.mobius import (
     apply,
     dist_to_ray,
     hyp_dist,
-    points_along_ray,
 )
+from schottky_limits.render import cayley, render_svg, to_canvas
 from schottky_limits.schottky import (
     SchottkyData,
     default_generators,
@@ -258,25 +259,24 @@ class TestRayGeometry:
                     assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
         assert sides == {True, False}
 
-    @pytest.mark.parametrize("kind", sorted(RAY_KINDS))
-    @given(data=st.data(), ts=st.lists(st.floats(0, 14), max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_points_along_ray_equal_standard_position(self, kind, data, ts):
-        ray = data.draw(RAY_KINDS[kind]())
-        got = [(z.real, z.imag) for z in points_along_ray(ray, ts)]
-        assert got == [ref_point_along_ray(ray, t) for t in ts]
-
     @pytest.mark.parametrize("seed", [None, 3])
     def test_deep_instance(self, seed):
-        """The orbit points of construct and the ray of render at n = 24."""
+        """The orbit points of construct and the ray of render at n = 24:
+        each point of render_svg's ray path is the reference point at its
+        distance, mapped to the canvas, to the canvas resolution of 0.001."""
         sd = instance(seed)
         brackets, orbit = limit_point_brackets(sd, 24)
-        ray = GeodesicRay(BASE_POINT, estimate_limit_point(brackets, 1e-10))
+        eta = estimate_limit_point(brackets, 1e-10)
+        ray = GeodesicRay(BASE_POINT, eta)
         assert len(orbit) == 24
         for p in orbit:
             assert dist_to_ray(p, ray) == ref_dist_to_ray(p, ray)
-        got = [(z.real, z.imag) for z in points_along_ray(ray, RENDER_TS)]
-        assert got == [ref_point_along_ray(ray, t) for t in RENDER_TS]
+        path = re.search(r'<path class="ray" d="M ([^"]*)"', render_svg(sd, brackets, orbit, eta))
+        drawn = [tuple(map(float, xy.split())) for xy in path.group(1).split(" L ")]
+        assert len(drawn) == len(RENDER_TS)
+        for (x, y), t in zip(drawn, RENDER_TS):
+            rx, ry = to_canvas(cayley(complex(*ref_point_along_ray(ray, t))))
+            assert abs(x - rx) <= 1e-3 and abs(y - ry) <= 1e-3
 
 
 def mp_distance(p, q):

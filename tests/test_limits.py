@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,12 +17,10 @@ from schottky_limits.limits import (
 from schottky_limits.mobius import (
     BASE_POINT,
     Boundary,
-    GeodesicRay,
     GroupElement,
     Interior,
     apply,
     hyp_dist,
-    points_along_ray,
 )
 from schottky_limits.schottky import word_to_element
 
@@ -181,12 +178,3 @@ class TestSubgroups:
         g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(even, 3)
         assert g1 & g2 == {EMPTY}
         assert intersect_by_matrices(odd, even, 3, sd) == {EMPTY}
-
-
-class TestPointAlongRay:
-    def test_distance_parameterization(self):
-        ray = GeodesicRay(BASE_POINT, Boundary(Fraction(3)))
-        rng = random.Random(2)
-        ts = [rng.uniform(0, 8) for _ in range(20)]
-        for t, z in zip(ts, points_along_ray(ray, ts)):
-            assert hyp_dist(BASE_POINT, Interior(z.real, z.imag)) == pytest.approx(t, abs=1e-9)
