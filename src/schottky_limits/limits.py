@@ -1,7 +1,9 @@
 """Orbit geometry of the Schottky group: bounded enumeration, limit-point
 bracketing for the theta sequence, radial certification, quasi-isometry
-envelopes, and bounded subgroup intersection. theta_intersection is the one
-intersection stage of intersect and report, with a matrix cross-check.
+envelopes (the upper slope exact from the generators, the lower fitted over
+one walk of matrices), and bounded subgroup intersection. theta_intersection
+is the one intersection stage of intersect and report, with a matrix
+cross-check.
 
 All verdicts here are bounded-depth evidence at the stated ranges, never
 claims about the infinite group.
@@ -21,6 +23,8 @@ from .mobius import (
     GroupElement,
     Interior,
     apply,
+    compose,
+    displacement,
     dist_to_ray,
     hyp_dist,
 )
@@ -47,26 +51,35 @@ class OrbitSample(Value):
         init_field(self, "displacement", displacement)
 
 
-def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
-    """All reduced words up to max_length with their exact elements, by DFS.
+def _reduced_products(
+    sd: SchottkyData, max_length: int
+) -> Iterator[Tuple[Tuple[Letter, ...], GroupElement]]:
+    """The letters and exact element of every reduced word up to max_length.
 
-    Deterministic order: depth-first over letters sorted as a, A, b, B,
-    extending only reduced words; the identity sample comes first. An
-    explicit stack hands each sample out once.
+    Deterministic order: the identity first, then depth first over letters
+    sorted as a, A, b, B, extending only reduced words. An explicit stack
+    hands each word out once, and each element is its parent's times one
+    generator.
     """
-    o = BASE_POINT
     letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
     gens = {let: sd.generator(*let) for let in letters}
     stack = [((), GroupElement.identity())]
     while stack:
         word, g = stack.pop()
-        p = apply(g, o)
-        yield OrbitSample(Word(word), g, p, hyp_dist(o, p))
+        yield word, g
         if len(word) < max_length:
             for let in reversed(letters):
                 if word and word[-1] == (let[0], -let[1]):
                     continue
-                stack.append((word + (let,), g * gens[let]))
+                stack.append((word + (let,), compose(g, gens[let])))
+
+
+def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
+    """All reduced words up to max_length with their exact elements, orbit
+    points and displacements, in the order of _reduced_products."""
+    for word, g in _reduced_products(sd, max_length):
+        p = apply(g, BASE_POINT)
+        yield OrbitSample(Word(word), g, p, hyp_dist(BASE_POINT, p))
 
 
 class QIEstimate(Value):
@@ -91,14 +104,25 @@ class QIEstimate(Value):
 
 
 def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
-    """Fit the tightest zero-intercept slopes over the bounded enumeration.
+    """The tightest zero-intercept slopes over the reduced words up to
+    max_length.
 
-    With zero intercepts the envelopes trivially admit the identity sample
-    (displacement 0 at length 0); the slopes are the extreme displacement
-    per letter over all nonempty reduced words.
+    With zero intercepts the envelopes trivially admit the identity
+    (displacement 0 at length 0). The upper slope is exact: each letter is an
+    isometry, so by the triangle inequality
+    d(i, x_1...x_n(i)) <= d(i, x_1(i)) + ... + d(i, x_n(i)), and no word
+    moves i further per letter than the generator that moves it furthest.
+    The lower slope is fitted at the bound: the least displacement per letter
+    over the nonempty reduced words, read from their matrices alone.
     """
-    ratios = [s.displacement / n for s in orbit_samples(sd, max_length) if (n := len(s.word))]
-    lower, upper = min(ratios, default=math.inf), max(ratios, default=0.0)
+    upper = max(
+        (s.displacement for s in orbit_samples(sd, min(max_length, 1)) if s.word),
+        default=0.0,
+    )
+    lower = min(
+        (displacement(g) / len(w) for w, g in _reduced_products(sd, max_length) if w),
+        default=math.inf,
+    )
     return QIEstimate(lower, 0.0, upper, 0.0, max_length)
 
 
@@ -110,18 +134,21 @@ def limit_point_brackets(
 
     omega_k = b^k a uses only positive letters, so nothing cancels: theta_n
     is the prefix of length n(n + 3) of one theta_n_max, and theta_n =
-    theta_{n-1} d_n with d_n = b^n a^2 b^n. Each d_n is multiplied onto the
-    running prefix product once. theta_n is reduced, so its disk is the image
-    of the disk of d_n under theta_{n-1}; the disks nest, and the footprints
-    bracket the limit point.
+    theta_{n-1} d_n with d_n = b^n a^2 b^n. Each letter of d_n is multiplied
+    onto the running prefix product once: theta_n is reduced, so its disk is
+    the target disk of its last letter under the product of all the letters
+    before it; the disks nest, and the footprints bracket the limit point.
     """
     letters = theta(n_max, WordFamily(max_index=n_max)).letters
     brackets, orbit = [], []
     prev = GroupElement.identity()
     for n in range(1, n_max + 1):
-        d = Word(letters[(n - 1) * (n + 2) : n * (n + 3)])
-        brackets.append(image_circle(prev, nested_disk(d, sd), require_bounded=True).interval())
-        prev = prev * word_to_element(d, sd)
+        d = letters[(n - 1) * (n + 2) : n * (n + 3)]
+        head = prev * word_to_element(Word(d[:-1]), sd)
+        brackets.append(
+            image_circle(head, nested_disk(Word(d[-1:]), sd), require_bounded=True).interval()
+        )
+        prev = head * sd.generator(*d[-1])
         orbit.append(apply(prev, BASE_POINT))
     return brackets, orbit
 

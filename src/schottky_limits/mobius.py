@@ -13,7 +13,9 @@ metric (Beardon, The Geometry of Discrete Groups, ch. 7): the distance
 between two points and the distance to a geodesic ray are each one exact
 rational of integer numerators, rounded to a float once, before the final
 square root or asinh; whether the foot of the perpendicular lies on the ray
-is decided exactly. Those distances are the only floats.
+is decided exactly. The displacement d(i, g(i)) of the base point is the same
+rational read off the matrix entries, with no image point built. Those
+distances are the only floats.
 """
 
 from __future__ import annotations
@@ -281,6 +283,24 @@ def hyp_dist(p: Point, q: Point) -> float:
         s2 = num / den
     except OverflowError:
         return math.log(4 * num) - math.log(den)
+    return 2.0 * math.asinh(math.sqrt(s2))
+
+
+def displacement(g: GroupElement) -> float:
+    """d(i, g(i)), the distance g moves the base point, from the matrix
+    alone: sinh^2(d/2) = ((a - d)^2 + (b + c)^2) / (4 s^2) (Beardon, The
+    Geometry of Discrete Groups, 7.2), rounded to a float once.
+
+    This is the ratio that hyp_dist(BASE_POINT, apply(g, BASE_POINT)) forms
+    from the triple of g(i), so the float is the same. Past the float range
+    the logarithms of the two pairs of integers can differ in the last bit,
+    so there the distance is that of hyp_dist.
+    """
+    a, b, c, d, s = g.a, g.b, g.c, g.d, g.s
+    try:
+        s2 = ((a - d) ** 2 + (b + c) ** 2) / (4 * s * s)
+    except OverflowError:
+        return hyp_dist(BASE_POINT, apply(g, BASE_POINT))
     return 2.0 * math.asinh(math.sqrt(s2))
 
 

@@ -21,6 +21,9 @@
 - The letter-by-letter free-generation verifier that the incremental
   symbol-word walk of freewords.verify_free_generation replaced: it
   re-expands and re-reduces every symbol word and re-checks every pair.
+- The extreme displacements per letter of all reduced words up to a
+  length, by brute force over every word, for limits.qi_check, which reads
+  the upper slope off the generators and walks only matrices for the lower.
 - The matrix cross-check of the subgroup intersection with each normal
   form's matrix built letter by letter. limits.intersect_by_matrices
   builds each product's matrix from its parent's and one factor's instead,
@@ -30,7 +33,9 @@
   accept exactly the documents SCHOTTKY_SCHEMA accepts.
 """
 
+import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -54,6 +59,10 @@ from schottky_limits.mobius import (
     hyp_dist,
 )
 from schottky_limits.schottky import word_to_element
+
+
+#: An exact point (x, y) of the half-plane, with Fraction coordinates.
+_Point = namedtuple("_Point", "x y")
 
 
 def _mpf(q):
@@ -399,6 +408,33 @@ def ref_intersect_by_matrices(g1, g2, sd):
     """Each word's matrix built anew, letter by letter."""
     in_g1 = {word_to_element(w, sd) for w in g1}
     return {w for w in g2 if word_to_element(w, sd) in in_g1}
+
+
+def ref_qi_extremes(sd, max_length):
+    """The least and greatest displacement per letter, ref_hyp_dist(i, w(i))
+    / n, over the reduced words w of each length n = 1..max_length, as a dict
+    n -> (least, greatest).
+
+    Every word over a, A, b, B of length n is listed by itertools.product and
+    the reduced ones kept; w(i) is the letters' det-1 Fraction matrices
+    applied to i one at a time from the right, the point of each suffix
+    computed once. The inverses are the adjugates of those matrices.
+    """
+    a, b = sd.gen_a.entries(), sd.gen_b.entries()
+    mats = {("a", 1): a, ("a", -1): (a[3], -a[1], -a[2], a[0]),
+            ("b", 1): b, ("b", -1): (b[3], -b[1], -b[2], b[0])}
+    base = _Point(Fraction(0), Fraction(1))
+    points = {(): base}
+    extremes = {}
+    for n in range(1, max_length + 1):
+        ratios = []
+        for w in itertools.product(mats, repeat=n):
+            if any(x[0] == y[0] and x[1] == -y[1] for x, y in zip(w, w[1:])):
+                continue
+            points[w] = p = _Point(*frac_mobius_interior(mats[w[0]], *points[w[1:]]))
+            ratios.append(ref_hyp_dist(base, p) / n)
+        extremes[n] = (min(ratios), max(ratios))
+    return extremes
 
 
 REPORT_SCHEMA = {

@@ -21,8 +21,10 @@ from schottky_limits.limits import (
     enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
+    QIEstimate,
     limit_point_brackets,
     orbit_samples,
+    qi_check,
     theta_generators,
 )
 from schottky_limits.mobius import (
@@ -33,6 +35,7 @@ from schottky_limits.mobius import (
     GroupElement,
     Interior,
     apply,
+    displacement,
     dist_to_ray,
     hyp_dist,
 )
@@ -58,6 +61,7 @@ from oracles import (
     ref_hyp_dist,
     ref_intersect_by_matrices,
     ref_point_along_ray,
+    ref_qi_extremes,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -384,3 +388,77 @@ class TestIntegerTriplePoints:
         half = Interior(float(p.x), p.y)  # each float is read at its exact value
         for a, b in ((p, q), (pf, q), (p, qf), (pf, qf), (half, q), (q, half)):
             assert hyp_dist(a, b) == ref_hyp_dist(a, b)
+
+
+class TestDisplacement:
+    """displacement(g) reads d(i, g(i)) off the matrix: the float of
+    hyp_dist(i, g(i)), bit for bit, with no image point built."""
+
+    def test_orbit_samples(self, sd):
+        for s in orbit_samples(sd, 8):
+            assert displacement(s.element) == s.displacement
+
+    @pytest.mark.parametrize("seed", range(1, 12))
+    def test_seeded_instances(self, seed):
+        for s in orbit_samples(instance(seed), 6):
+            assert displacement(s.element) == s.displacement
+
+    @pytest.mark.parametrize("n", [10, 16, 30, 40])
+    def test_theta_past_the_float_range(self, sd, n):
+        g = word_to_element(theta(n, WordFamily(max_index=n)), sd)
+        assert displacement(g) == hyp_dist(BASE_POINT, apply(g, BASE_POINT))
+        # from n = 16 the matrix ratio sinh^2(d/2) exceeds the float range,
+        # and the logarithm branch is taken
+        ratio = outcome(lambda: ((g.a - g.d) ** 2 + (g.b + g.c) ** 2) / (4 * g.s * g.s))
+        assert (ratio is OverflowError) == (n >= 16)
+
+    @given(unit_det_matrices(), nonzero_rationals)
+    def test_random_matrices(self, g, k):
+        # k g is the same element: the entries of GroupElement.of are projective
+        h = GroupElement.of(*(k * v for v in g.entries()))
+        assert h == g
+        x, y = ref_apply_exact(g, BASE_POINT)
+        expected = ref_hyp_dist(BASE_POINT, Interior(x, y))
+        assert displacement(h) == hyp_dist(BASE_POINT, apply(g, BASE_POINT)) == expected
+
+
+def brute_force_qi(sd, max_length, extremes):
+    """The QIEstimate of the extremes of ref_qi_extremes up to max_length."""
+    lows = [extremes[n][0] for n in range(1, max_length + 1)]
+    highs = [extremes[n][1] for n in range(1, max_length + 1)]
+    return QIEstimate(min(lows, default=math.inf), 0.0, max(highs, default=0.0), 0.0, max_length)
+
+
+class TestQiCheck:
+    """qi_check gives, as exact floats, the least and greatest displacement
+    per letter over a brute-force enumeration of the reduced words."""
+
+    def test_shipped(self, sd):
+        extremes = ref_qi_extremes(sd, 8)
+        for max_length in range(9):
+            assert qi_check(sd, max_length) == brute_force_qi(sd, max_length, extremes)
+        assert qi_check(sd, 0) == QIEstimate(math.inf, 0.0, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("seed", range(1, 12))
+    def test_seeded_instances(self, seed):
+        sd = instance(seed)
+        assert qi_check(sd, 6) == brute_force_qi(sd, 6, ref_qi_extremes(sd, 6))
+
+    def test_generator_squared(self, sd):
+        # gen_b = gen_a^2: the words (gen_a)^n and gen_b^n move i along one
+        # axis, the equality case of the triangle inequality
+        sq = SchottkyData(sd.gen_a, sd.gen_a * sd.gen_a, *sd.circles())
+        assert qi_check(sq, 6) == brute_force_qi(sq, 6, ref_qi_extremes(sq, 6))
+
+    def test_upper_slope_is_the_generators(self, sd):
+        # h = diag(k, 1/k) conjugated to the axis from -1 to 1, through i:
+        # h^n(i) lies at n d(i, h(i)) exactly, but the float of a power's
+        # displacement over n may round one ulp above that of h
+        k = 7 ** 9
+        e, f = Fraction(k * k + 1, 2 * k), Fraction(k * k - 1, 2 * k)
+        h = GroupElement.of(e, f, f, e)
+        along = SchottkyData(h, sd.gen_b, *sd.circles())
+        upper = displacement(h)
+        assert qi_check(along, 5).upper_alpha == upper
+        fitted = max(high for _, high in ref_qi_extremes(along, 5).values())
+        assert upper <= fitted <= math.nextafter(upper, math.inf)

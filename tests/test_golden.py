@@ -1,7 +1,8 @@
 """CLI stdout matches golden copies byte for byte: at the benchmark's flags
-the copies in perfbench/golden/ (only read here), and for the deep radial
-path, `construct --n-max 24` with theta products of about 2 100 bits, the
-copy in tests/golden/."""
+the copies in perfbench/golden/ (only read here); for the deep radial path,
+`construct --n-max 24` with theta products of about 2 100 bits, and for the
+orbit walk beyond the default depth, `report --max-length 9`, the copies in
+tests/golden/."""
 
 from pathlib import Path
 
@@ -18,6 +19,7 @@ OWN_GOLDEN = Path(__file__).resolve().parent / "golden"
     (["freeness", "--max-index", "6", "--max-syllables", "4"], "freeness.json"),
     (["intersect", "--max-index", "6", "--max-syllables", "3"], "intersect.json"),
     (["construct", "--n-max", "24"], "construct-24.json"),
+    (["report", "--max-length", "9"], "report-L9.json"),
 ])
 def test_stdout_matches_golden(args, name):
     result = invoke(args)
