@@ -160,26 +160,17 @@ def _new_parser(factory, *args, **kwargs) -> argparse.ArgumentParser:
     return parser
 
 
-def _parsers(
-    prog: str, args: List[str]
-) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The parser of the command line and the parser of each command.
-
-    Only the command that args name gets its options: argparse hands the
-    words after the first positional word, the command, to its parser, and
-    the other commands' parsers serve only its list of commands.
-    """
+def _parsers(prog: str) -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser of the command line and the parser of each command."""
     parser = _new_parser(argparse.ArgumentParser, prog=prog, description=_Main.__doc__)
     subparsers = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
                                        required=True)
-    runs = next((word for word in args if word in _COMMANDS), None)
     commands = {}
     for name, options in _COMMANDS.items():
         doc = globals()[name].__doc__
         commands[name] = _new_parser(subparsers.add_parser, name, help=doc, description=doc)
-        if name == runs:
-            for flag, kwargs in options:
-                commands[name].add_argument(flag, **kwargs)
+        for flag, kwargs in options:
+            commands[name].add_argument(flag, **kwargs)
     return parser, commands
 
 
@@ -199,9 +190,8 @@ class _Main:
         against one; every command ends with SystemExit in either mode.
         """
         args = sys.argv[1:] if args is None else args
-        args = _join_values(args)
-        parser, commands = _parsers(prog_name or "schottky-limits", args)
-        parsed, unknown = parser.parse_known_args(args)
+        parser, commands = _parsers(prog_name or "schottky-limits")
+        parsed, unknown = parser.parse_known_args(_join_values(args))
         if unknown:  # with the usage of the command, not of the command line
             commands[parsed.command].error(f"unrecognized arguments: {' '.join(unknown)}")
         parsed = vars(parsed)

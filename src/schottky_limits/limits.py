@@ -23,7 +23,6 @@ from .mobius import (
     GroupElement,
     Interior,
     apply,
-    compose,
     displacement,
     dist_to_ray,
     hyp_dist,
@@ -71,7 +70,7 @@ def _reduced_products(
             for let in reversed(letters):
                 if word and word[-1] == (let[0], -let[1]):
                     continue
-                stack.append((word + (let,), compose(g, gens[let])))
+                stack.append((word + (let,), g * gens[let]))
 
 
 def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
@@ -111,8 +110,9 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     (displacement 0 at length 0). The upper slope is exact: each letter is an
     isometry, so by the triangle inequality
     d(i, x_1...x_n(i)) <= d(i, x_1(i)) + ... + d(i, x_n(i)), and no word
-    moves i further per letter than the generator that moves it furthest.
-    The lower slope is fitted at the bound: the least displacement per letter
+    moves i further per letter than the generator that moves it furthest,
+    the largest displacement among the orbit samples of length one. The
+    lower slope is fitted at the bound: the least displacement per letter
     over the nonempty reduced words, read from their matrices alone.
     """
     upper = max(
