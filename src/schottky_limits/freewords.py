@@ -8,7 +8,7 @@ their inverses, and 'e' the empty word.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from .value import Value, init_field
 
@@ -240,33 +240,39 @@ def _join(left: Tuple[Letter, ...], right: Tuple[Letter, ...]) -> Tuple[Letter, 
     return left[: len(left) - k] + right[k:]
 
 
-def _products(
-    factors: Sequence[Tuple[Syllable, Tuple[Letter, ...]]], max_syllables: int
-) -> Iterator[Tuple[Tuple[Syllable, ...], Tuple[Letter, ...]]]:
-    """Every reduced product of 1..max_syllables factors, as (symbols, letters
-    of its normal form), in levels by length with the order of factors inside
-    each level.
+V = TypeVar("V")  # the value a walk carries: letters, a matrix, or both
 
-    factors holds (symbol, reduced letters) pairs; the symbol (i, -e) names
-    the inverse of the factor (i, e), and a product is reduced when no symbol
-    is followed by its inverse. A child is its parent times one factor, so its letters are
-    the parent's joined to the factor's: only the junction is reduced, and by
-    confluence this is the normal form of the whole product. A caller that
-    needs a child's parent finds it at symbols[:-1]. The last level is handed
-    out, never stored.
+
+def _products(
+    factors: Sequence[Tuple[tuple, V]], max_syllables: int, join: Callable[[V, V], V]
+) -> Iterator[Tuple[tuple, V]]:
+    """Every reduced product of 1..max_syllables factors, as (symbols, value).
+
+    factors holds (symbol, value) pairs, a symbol being a Syllable or a
+    Letter; the symbol (i, -e) names the inverse of the factor (i, e), and a
+    product is reduced when no symbol is followed by its inverse. A product of one factor has that factor's value, and a
+    child, its parent times one factor, has the value join(parent's value,
+    factor's value): on reduced letters _join reduces only the junction,
+    which by confluence gives the normal form of the whole product.
+
+    The walk is depth first, with an explicit stack: each product comes
+    before its children, and the children follow the order of factors. So
+    when a product of k factors comes, the latest earlier products of
+    1..k-1 factors are its prefixes, and a caller that needs its parent's
+    data keeps a list indexed by length. The stack holds at most
+    max_syllables * len(factors) products.
     """
-    level = [((), ())]
-    for depth in range(1, max_syllables + 1):
-        nxt = []
-        for symbols, letters in level:
-            cancelling = (symbols[-1][0], -symbols[-1][1]) if symbols else None
-            for s, f in factors:
+    if max_syllables < 1:
+        return
+    stack = [((s,), f) for s, f in reversed(factors)]
+    while stack:
+        symbols, value = stack.pop()
+        yield symbols, value
+        if len(symbols) < max_syllables:
+            cancelling = (symbols[-1][0], -symbols[-1][1])
+            for s, f in reversed(factors):
                 if s != cancelling:
-                    child = (symbols + (s,), _join(letters, f))
-                    yield child
-                    if depth < max_syllables:
-                        nxt.append(child)
-        level = nxt
+                    stack.append((symbols + (s,), join(value, f)))
 
 
 def _pair_survives(s: Syllable, t: Syllable, fam: WordFamily) -> bool:
@@ -290,15 +296,15 @@ def verify_free_generation(
     no reduction since the blocks contain only positive letters.
 
     The symbol words are the reduced products of the blocks w_n r_n and their
-    inverses, walked by _products in order of length and then of syllables,
-    so the counterexample is the first failing word in that order. A word has
-    its parent's pairs plus at most one new adjacent pair, its last; the
-    parents' pair counts are kept for every level but the last, and each
-    distinct pair verdict is computed once. pairs_checked counts every
-    occurrence of a pair in every word. Only a word's last pair is checked:
-    its other pairs are its parent's, and the parent comes earlier in the
-    walk, so a failing one has already cleared outer_letters_ok and set the
-    counterexample.
+    inverses, walked depth first by _products. A word has its parent's pairs
+    plus at most one new adjacent pair, its last: the pair counts of its
+    prefixes are kept in a list indexed by length, and each distinct pair
+    verdict is computed once. pairs_checked counts every occurrence of a pair
+    in every word. Only a word's last pair is checked: its other pairs are
+    those of a shorter prefix, which the walk checks as that prefix's last.
+    The counterexample is the failing word least by (length, syllables), so a
+    failing prefix always wins over its extensions; the alphabet is sorted,
+    so that word is the first failing one in breadth-first order.
     """
     if not is_prefix_free(fam):
         raise PrefixFreeViolated(
@@ -307,26 +313,27 @@ def verify_free_generation(
     alphabet = sorted((n, e) for n in range(1, fam.max_index + 1) for e in (1, -1))
     blocks = [(s, expand(SymbolWord((s,)), fam).letters) for s in alphabet]
     verdicts = {}
-    parent_pairs = {(): 0}
+    prefix_pairs = [0] * (max_syllables + 1)
     words = pairs = 0
     all_nonempty = outer_letters_ok = True
-    counterexample = None
-    for syllables, letters in _products(blocks, max_syllables):
-        word_pairs, last_fails = parent_pairs[syllables[:-1]], False
-        if len(syllables) > 1 and syllables[-2][1] != syllables[-1][1]:
+    least = None
+    for syllables, letters in _products(blocks, max_syllables, _join):
+        k = len(syllables)
+        word_pairs, last_fails = prefix_pairs[k - 1], False
+        if k > 1 and syllables[-2][1] != syllables[-1][1]:
             pair = syllables[-2:]
             if pair not in verdicts:
                 verdicts[pair] = _pair_survives(*pair, fam)
             word_pairs, last_fails = word_pairs + 1, not verdicts[pair]
-        if len(syllables) < max_syllables:
-            parent_pairs[syllables] = word_pairs
+        prefix_pairs[k] = word_pairs
         words += 1
         pairs += word_pairs
         if not letters:
             all_nonempty = False
         if last_fails:
             outer_letters_ok = False
-        if (last_fails or not letters) and counterexample is None:
-            counterexample = SymbolWord(syllables).to_string()
+        if (last_fails or not letters) and (least is None or (k, syllables) < least):
+            least = (k, syllables)
+    counterexample = None if least is None else SymbolWord(least[1]).to_string()
     return VerificationReport(fam.max_index, max_syllables, words, pairs,
                               all_nonempty, outer_letters_ok, counterexample)

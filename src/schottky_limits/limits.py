@@ -1,9 +1,9 @@
 """Orbit geometry of the Schottky group: bounded enumeration, limit-point
 bracketing for the theta sequence, radial certification, quasi-isometry
 envelopes (the upper slope exact from the generators, the lower fitted over
-one walk of matrices), and bounded subgroup intersection. theta_intersection
-is the one intersection stage of intersect and report, with a matrix
-cross-check.
+the matrices of the one reduced-product walk, freewords._products), and
+bounded subgroup intersection. theta_intersection is the one intersection
+stage of intersect and report, with a matrix cross-check.
 
 All verdicts here are bounded-depth evidence at the stated ranges, never
 claims about the infinite group.
@@ -11,11 +11,13 @@ claims about the infinite group.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Set, Tuple
 
-from .freewords import EMPTY, Letter, Syllable, Word, WordFamily, _products, reduce, theta
+from .freewords import EMPTY, Letter, Syllable, Word, WordFamily, _join, _products, reduce, theta
 from .mobius import (
     BASE_POINT,
     Boundary,
@@ -50,33 +52,19 @@ class OrbitSample(Value):
         init_field(self, "displacement", displacement)
 
 
-def _reduced_products(
-    sd: SchottkyData, max_length: int
-) -> Iterator[Tuple[Tuple[Letter, ...], GroupElement]]:
-    """The letters and exact element of every reduced word up to max_length.
-
-    Deterministic order: the identity first, then depth first over letters
-    sorted as a, A, b, B, extending only reduced words. An explicit stack
-    hands each word out once, and each element is its parent's times one
-    generator.
-    """
-    letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
-    gens = {let: sd.generator(*let) for let in letters}
-    stack = [((), GroupElement.identity())]
-    while stack:
-        word, g = stack.pop()
-        yield word, g
-        if len(word) < max_length:
-            for let in reversed(letters):
-                if word and word[-1] == (let[0], -let[1]):
-                    continue
-                stack.append((word + (let,), g * gens[let]))
+def _generators(sd: SchottkyData) -> List[Tuple[Letter, GroupElement]]:
+    """The four letters a, A, b, B with their exact elements, as the factors
+    of _products: a reduced word's element is its parent's times its last
+    letter's."""
+    return [(let, sd.generator(*let)) for let in (("a", 1), ("a", -1), ("b", 1), ("b", -1))]
 
 
 def orbit_samples(sd: SchottkyData, max_length: int) -> Iterator[OrbitSample]:
     """All reduced words up to max_length with their exact elements, orbit
-    points and displacements, in the order of _reduced_products."""
-    for word, g in _reduced_products(sd, max_length):
+    points and displacements: the identity first, then depth first over the
+    letters a, A, b, B, in the order of _products."""
+    walk = _products(_generators(sd), max_length, operator.mul)
+    for word, g in itertools.chain([((), GroupElement.identity())], walk):
         p = apply(g, BASE_POINT)
         yield OrbitSample(Word(word), g, p, hyp_dist(BASE_POINT, p))
 
@@ -119,10 +107,8 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
         (s.displacement for s in orbit_samples(sd, min(max_length, 1)) if s.word),
         default=0.0,
     )
-    lower = min(
-        (displacement(g) / len(w) for w, g in _reduced_products(sd, max_length) if w),
-        default=math.inf,
-    )
+    walk = _products(_generators(sd), max_length, operator.mul)
+    lower = min((displacement(g) / len(w) for w, g in walk), default=math.inf)
     return QIEstimate(lower, 0.0, upper, 0.0, max_length)
 
 
@@ -230,7 +216,7 @@ def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
     Normal forms are faithful once the ambient group is certified free, so
     the & of two such sets is the intersection of the enumerated elements.
     """
-    return {EMPTY} | {Word(w) for _, w in _products(_factors(gens), max_syllables)}
+    return {EMPTY} | {Word(w) for _, w in _products(_factors(gens), max_syllables, _join)}
 
 
 def theta_generators(fam: WordFamily) -> Tuple[List[Word], List[Word]]:
@@ -238,6 +224,12 @@ def theta_generators(fam: WordFamily) -> Tuple[List[Word], List[Word]]:
     ... and theta_2, theta_4, ... up to fam.max_index."""
     thetas = [theta(n, fam) for n in range(1, fam.max_index + 1)]
     return thetas[0::2], thetas[1::2]
+
+
+def _join_with_matrix(left: tuple, right: tuple) -> tuple:
+    """The join of _products on (letters, matrix) pairs: the letters by
+    _join, the matrices by their product."""
+    return _join(left[0], right[0]), left[1] * right[1]
 
 
 def _product_matrices(
@@ -250,14 +242,9 @@ def _product_matrices(
     factors' matrices come from word_to_element, so no matrix is computed
     from a normal form.
     """
-    factors = _factors(gens)
-    factor_matrix = {s: word_to_element(Word(f), sd) for s, f in factors}
-    parent_matrix = {(): GroupElement.identity()}
-    yield EMPTY, parent_matrix[()]
-    for symbols, letters in _products(factors, max_syllables):
-        m = parent_matrix[symbols[:-1]] * factor_matrix[symbols[-1]]
-        if len(symbols) < max_syllables:
-            parent_matrix[symbols] = m
+    factors = [(s, (f, word_to_element(Word(f), sd))) for s, f in _factors(gens)]
+    yield EMPTY, GroupElement.identity()
+    for _, (letters, m) in _products(factors, max_syllables, _join_with_matrix):
         yield Word(letters), m
 
 

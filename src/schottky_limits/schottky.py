@@ -77,7 +77,7 @@ def image_circle(g: GroupElement, circle: Circle, require_bounded: bool = False)
     if g.c != 0:
         pole = Fraction(-g.d, g.c)
         if pole == lo or pole == hi:
-            raise UnboundedDiskImage(f"footprint endpoint maps to infinity")
+            raise UnboundedDiskImage("footprint endpoint maps to infinity")
         if require_bounded and lo < pole < hi:
             raise UnboundedDiskImage(f"pole {pole} inside footprint [{lo}, {hi}]")
     ilo, ihi = apply(g, Boundary(lo)).x, apply(g, Boundary(hi)).x

@@ -11,6 +11,7 @@ from schottky_limits.freewords import (
     SymbolWord,
     Word,
     WordFamily,
+    _join,
     _products,
     doubled_word,
     expand,
@@ -260,8 +261,14 @@ class TestVerifyFreeGeneration:
     def test_walk_letters_equal_expand(self, fam):
         alphabet = sorted((n, e) for n in range(1, 5) for e in (1, -1))
         blocks = [(s, expand(SymbolWord((s,)), fam).letters) for s in alphabet]
-        walked = list(_products(blocks, 3))
-        sws = list(symbol_words(4, 3))
-        assert [syllables for syllables, _ in walked] == [sw.syllables for sw in sws]
-        for (_, letters), sw in zip(walked, sws):
-            assert letters == expand(sw, fam).letters
+        walked = list(_products(blocks, 3, _join))
+        symbols = [syllables for syllables, _ in walked]
+        assert len(set(symbols)) == len(symbols)
+        assert set(symbols) == {sw.syllables for sw in symbol_words(4, 3)}
+        for syllables, letters in walked:
+            assert letters == expand(SymbolWord(syllables), fam).letters
+        # preorder: the latest earlier product one factor shorter is the parent
+        latest = {0: ()}
+        for syllables in symbols:
+            assert latest[len(syllables) - 1] == syllables[:-1]
+            latest[len(syllables)] = syllables

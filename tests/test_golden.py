@@ -1,8 +1,9 @@
 """CLI stdout matches golden copies byte for byte: at the benchmark's flags
 the copies in perfbench/golden/ (only read here); for the deep radial path,
-`construct --n-max 24` with theta products of about 2 100 bits, and for the
-orbit walk beyond the default depth, `report --max-length 9`, the copies in
-tests/golden/."""
+`construct --n-max 24` with theta products of about 2 100 bits, for the
+orbit walk beyond the default depth, `report --max-length 9`, and for the
+reduced-product walk past the benchmark's bounds, `freeness` and `intersect`
+at index 8 and 4 syllables, the copies in tests/golden/."""
 
 from pathlib import Path
 
@@ -20,6 +21,8 @@ OWN_GOLDEN = Path(__file__).resolve().parent / "golden"
     (["intersect", "--max-index", "6", "--max-syllables", "3"], "intersect.json"),
     (["construct", "--n-max", "24"], "construct-24.json"),
     (["report", "--max-length", "9"], "report-L9.json"),
+    (["freeness", "--max-index", "8", "--max-syllables", "4"], "freeness-8-4.json"),
+    (["intersect", "--max-index", "8", "--max-syllables", "4"], "intersect-8-4.json"),
 ])
 def test_stdout_matches_golden(args, name):
     result = invoke(args)
