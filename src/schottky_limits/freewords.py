@@ -250,10 +250,11 @@ def _products(
 
     factors holds (symbol, value) pairs, a symbol being a Syllable or a
     Letter; the symbol (i, -e) names the inverse of the factor (i, e), and a
-    product is reduced when no symbol is followed by its inverse. A product of one factor has that factor's value, and a
-    child, its parent times one factor, has the value join(parent's value,
-    factor's value): on reduced letters _join reduces only the junction,
-    which by confluence gives the normal form of the whole product.
+    product is reduced when no symbol is followed by its inverse. A product
+    of one factor has that factor's value, and a child, its parent times one
+    factor, has the value join(parent's value, factor's value): on reduced
+    letters _join reduces only the junction, which by confluence gives the
+    normal form of the whole product.
 
     The walk is depth first, with an explicit stack: each product comes
     before its children, and the children follow the order of factors. So
