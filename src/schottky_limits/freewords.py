@@ -208,24 +208,6 @@ class VerificationReport(Value):
         "all_nonempty", "outer_letters_ok", "counterexample",
     )
 
-    def __init__(
-        self,
-        max_index: int,
-        max_syllables: int,
-        words_checked: int = 0,
-        pairs_checked: int = 0,
-        all_nonempty: bool = True,
-        outer_letters_ok: bool = True,
-        counterexample: Optional[str] = None,
-    ):
-        init_field(self, "max_index", max_index)
-        init_field(self, "max_syllables", max_syllables)
-        init_field(self, "words_checked", words_checked)
-        init_field(self, "pairs_checked", pairs_checked)
-        init_field(self, "all_nonempty", all_nonempty)
-        init_field(self, "outer_letters_ok", outer_letters_ok)
-        init_field(self, "counterexample", counterexample)
-
     @property
     def verified(self) -> bool:
         return self.all_nonempty and self.outer_letters_ok

@@ -30,7 +30,7 @@ from .mobius import (
     hyp_dist,
 )
 from .schottky import SchottkyData, image_circle, nested_disk, word_to_element
-from .value import Value, init_field
+from .value import Value
 
 
 class ToleranceNotReached(ValueError):
@@ -44,12 +44,6 @@ class ToleranceNotReached(ValueError):
 
 class OrbitSample(Value):
     __slots__ = ("word", "element", "point", "displacement")
-
-    def __init__(self, word: Word, element: GroupElement, point: Interior, displacement: float):
-        init_field(self, "word", word)
-        init_field(self, "element", element)
-        init_field(self, "point", point)
-        init_field(self, "displacement", displacement)
 
 
 def _generators(sd: SchottkyData) -> List[Tuple[Letter, GroupElement]]:
@@ -74,20 +68,6 @@ class QIEstimate(Value):
     <= upper_alpha*|w| + upper_beta over all reduced words up to max_length."""
 
     __slots__ = ("lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length")
-
-    def __init__(
-        self,
-        lower_alpha: float,
-        lower_beta: float,
-        upper_alpha: float,
-        upper_beta: float,
-        max_length: int,
-    ):
-        init_field(self, "lower_alpha", lower_alpha)
-        init_field(self, "lower_beta", lower_beta)
-        init_field(self, "upper_alpha", upper_alpha)
-        init_field(self, "upper_beta", upper_beta)
-        init_field(self, "max_length", max_length)
 
 
 def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
@@ -163,11 +143,6 @@ class RadialWitness(Value):
     """Distances from the theta orbit points to the ray toward the limit point."""
 
     __slots__ = ("eta", "constant_c", "per_n")
-
-    def __init__(self, eta: Boundary, constant_c: float, per_n: Tuple[Tuple[int, float], ...]):
-        init_field(self, "eta", eta)
-        init_field(self, "constant_c", constant_c)
-        init_field(self, "per_n", per_n)
 
     @property
     def bounded_trend(self) -> bool:
@@ -268,12 +243,6 @@ class ThetaIntersection(Value):
     normal-form intersection, and whether intersect_by_matrices agrees."""
 
     __slots__ = ("g1", "g2", "common", "cross_check_agrees")
-
-    def __init__(self, g1: Set[Word], g2: Set[Word], common: Set[Word], cross_check_agrees: bool):
-        init_field(self, "g1", g1)
-        init_field(self, "g2", g2)
-        init_field(self, "common", common)
-        init_field(self, "cross_check_agrees", cross_check_agrees)
 
     @property
     def verified(self) -> bool:

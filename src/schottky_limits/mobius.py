@@ -136,6 +136,7 @@ class IsometryClass:
 class GroupElement(Value):
     __slots__ = ("a", "b", "c", "d", "s")
 
+    # compose builds one per product; Value's generic loop made qi_check slower
     def __init__(self, a: int, b: int, c: int, d: int, s: int):
         init_field(self, "a", a)
         init_field(self, "b", b)

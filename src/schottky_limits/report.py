@@ -58,11 +58,11 @@ def word_strings(words: Iterable[Word]) -> List[str]:
 
 def build_report(
     sd: SchottkyData,
-    n_max: int = 12,
-    max_index: int = 6,
-    max_syllables: int = 3,
-    max_length: int = 8,
-    tol: float = 1e-10,
+    n_max: int,
+    max_index: int,
+    max_syllables: int,
+    max_length: int,
+    tol: float,
 ) -> Tuple[dict, bool]:
     """Run the whole pipeline into the construction report and its verdict.
 

@@ -58,12 +58,6 @@ class Circle(Value):
         dx = p.x - self.center
         return dx * dx + p.y * p.y < self.radius * self.radius
 
-    def contains_circle(self, other: "Circle") -> bool:
-        """Strict nesting of another half-plane circle's bounded side."""
-        lo, hi = self.interval()
-        olo, ohi = other.interval()
-        return lo < olo and ohi < hi
-
 
 def image_circle(g: GroupElement, circle: Circle, require_bounded: bool = False) -> Circle:
     """Exact Mobius image of a boundary-orthogonal circle, as a curve.
@@ -118,23 +112,11 @@ def _rational_string(value, where: str) -> str:
 
 
 class SchottkyData(Value):
-    __slots__ = ("gen_a", "gen_b", "circle_a", "circle_a_prime", "circle_b", "circle_b_prime")
+    """Two generators and their paired circles: gen_a maps the exterior of
+    circle_a onto the bounded side of circle_a_prime, and gen_b likewise
+    pairs circle_b with circle_b_prime."""
 
-    def __init__(
-        self,
-        gen_a: GroupElement,
-        gen_b: GroupElement,
-        circle_a: Circle,        # a maps the exterior of circle_a ...
-        circle_a_prime: Circle,  # ... onto the bounded side of circle_a_prime
-        circle_b: Circle,
-        circle_b_prime: Circle,
-    ):
-        init_field(self, "gen_a", gen_a)
-        init_field(self, "gen_b", gen_b)
-        init_field(self, "circle_a", circle_a)
-        init_field(self, "circle_a_prime", circle_a_prime)
-        init_field(self, "circle_b", circle_b)
-        init_field(self, "circle_b_prime", circle_b_prime)
+    __slots__ = ("gen_a", "gen_b", "circle_a", "circle_a_prime", "circle_b", "circle_b_prime")
 
     def circles(self) -> Tuple[Circle, Circle, Circle, Circle]:
         return (self.circle_a, self.circle_a_prime, self.circle_b, self.circle_b_prime)
@@ -202,14 +184,7 @@ class SchottkyData(Value):
         def circ(name):
             return Circle(rational(circles[name]["center"]), rational(circles[name]["radius"]))
 
-        return cls(
-            gen_a=mat("gen_a"),
-            gen_b=mat("gen_b"),
-            circle_a=circ("C_a"),
-            circle_a_prime=circ("C_a_prime"),
-            circle_b=circ("C_b"),
-            circle_b_prime=circ("C_b_prime"),
-        )
+        return cls(mat("gen_a"), mat("gen_b"), *map(circ, CIRCLE_NAMES))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -232,28 +207,21 @@ def default_generators() -> SchottkyData:
     gen_a = GroupElement.of(f(5, 3), f(4, 3), f(4, 3), f(5, 3))
     gen_b = GroupElement.of(f(29, 3), f(-140, 3), f(4, 3), f(-19, 3))
     return SchottkyData(
-        gen_a=gen_a,
-        gen_b=gen_b,
-        circle_a=Circle(f(-5, 4), f(3, 4)),
-        circle_a_prime=Circle(f(5, 4), f(3, 4)),
-        circle_b=Circle(f(19, 4), f(3, 4)),
-        circle_b_prime=Circle(f(29, 4), f(3, 4)),
+        gen_a,
+        gen_b,
+        Circle(f(-5, 4), f(3, 4)),
+        Circle(f(5, 4), f(3, 4)),
+        Circle(f(19, 4), f(3, 4)),
+        Circle(f(29, 4), f(3, 4)),
     )
 
 
 class Certificate(Value):
     __slots__ = ("checks",)
 
-    def __init__(self, checks: Tuple[str, ...]):
-        init_field(self, "checks", checks)
-
 
 class Violation(Value):
     __slots__ = ("name", "detail")
-
-    def __init__(self, name: str, detail: str):
-        init_field(self, "name", name)
-        init_field(self, "detail", detail)
 
 
 def verify_ping_pong(sd: SchottkyData) -> Union[Certificate, Violation]:

@@ -1,8 +1,9 @@
 """Immutable value types with slots.
 
-`Value` gives a subclass the equality, hash and repr of a frozen dataclass
-without the per-class code generation of `dataclasses` at import or the cost
-of its frozen `__init__` per object.
+`Value` gives a subclass the constructor, equality, hash and repr of a frozen
+dataclass without the per-class code generation of `dataclasses` at import or
+the cost of its frozen `__init__` per object. A subclass declares its fields
+once, in __slots__.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ init_field = object.__setattr__
 class Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its slots in __slots__ and sets them in __init__ with
-    init_field. Its fields are its slots, unless it names them in _fields
-    (which may be properties). Instances are equal when they are of the same
-    class with equal fields; the hash is that of the tuple of fields and the
-    repr is Name(field=value, ...), as for a frozen dataclass.
+    A subclass lists its slots in __slots__, and Value(*fields) takes one
+    value per slot, by position and in slot order. A subclass keeps its own
+    __init__, setting its slots with init_field, only where it does work:
+    checking or converting input, giving defaults, or speed on a hot path.
+    Its fields are its slots, unless it names them in _fields (which may be
+    properties). Instances are equal when they are of the same class with
+    equal fields; the hash is that of the tuple of fields and the repr is
+    Name(field=value, ...), as for a frozen dataclass.
     """
 
     __slots__ = ()
@@ -32,6 +36,16 @@ class Value:
             cls._fields = cls.__slots__
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+
+    def __init__(self, *fields):
+        slots = self.__slots__
+        if len(fields) != len(slots):
+            raise TypeError(
+                f"{self.__class__.__qualname__}({', '.join(slots)}) takes"
+                f" {len(slots)} values, got {len(fields)}"
+            )
+        for name, value in zip(slots, fields):
+            init_field(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -4,6 +4,7 @@ same constructor checks."""
 
 import dataclasses
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from schottky_limits.freewords import (
     WordFamily,
     omega,
 )
-from schottky_limits.limits import OrbitSample, QIEstimate, RadialWitness
+from schottky_limits.limits import OrbitSample, QIEstimate, RadialWitness, ThetaIntersection
 from schottky_limits.mobius import (
     BASE_POINT,
     INFINITY,
@@ -60,6 +61,13 @@ FIELDS = {
     Violation: ("name", "detail"),
     QIEstimate: ("lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length"),
     RadialWitness: ("eta", "constant_c", "per_n"),
+    ThetaIntersection: ("g1", "g2", "common", "cross_check_agrees"),
+}
+
+#: the classes whose only constructor is Value(*fields)
+PLAIN = {
+    OrbitSample, QIEstimate, RadialWitness, ThetaIntersection, VerificationReport,
+    SchottkyData, Certificate, Violation,
 }
 
 SAMPLES = [
@@ -83,6 +91,8 @@ SAMPLES = [
     WordFamily(omega, 12),
     VerificationReport(6, 4, 17568, 30240, True, True, None),
     VerificationReport(3, 2, 40, 18, True, False, "S1.S2^-1"),
+    ThetaIntersection(frozenset({EMPTY, Word.from_string("ab")}), frozenset({EMPTY}),
+                      frozenset({EMPTY}), True),
 ]
 IDS = [f"{type(v).__name__}-{i}" for i, v in enumerate(SAMPLES)]
 
@@ -129,6 +139,16 @@ class TestParity:
     def test_pickle_round_trip(self, v):
         assert pickle.loads(pickle.dumps(v)) == v
 
+    def test_arity(self, v):
+        # as for the dataclass: one value too many raises, and one too few
+        # where the class gives no defaults
+        with pytest.raises(TypeError):
+            type(v)(*values(v), None)
+        if type(v) in PLAIN:
+            signature = f"{type(v).__name__}({', '.join(FIELDS[type(v)])})"
+            with pytest.raises(TypeError, match=re.escape(signature)):
+                type(v)(*values(v)[:-1])
+
 
 def test_circle_repr():
     assert repr(Circle(F(19, 4), F(3, 4))) == "Circle(center=Fraction(19, 4), radius=Fraction(3, 4))"
@@ -145,7 +165,6 @@ def test_defaults():
     assert Word() == EMPTY and Word().letters == ()
     assert SymbolWord().syllables == ()
     assert WordFamily() == WordFamily(None, 50)
-    assert VerificationReport(3, 2) == VerificationReport(3, 2, 0, 0, True, True, None)
 
 
 @pytest.mark.parametrize("build", [
