@@ -12,7 +12,8 @@ whether every verification in its scope passed; main alone writes the
 output (to stdout or --out) and sets the exit status. Exit status: 0 when
 every verification in the command's scope passed, 1 on a violation,
 counterexample or unreached tolerance, 2 on usage errors (with the usage on
-stderr), on input errors and on an --out path that cannot be written.
+stderr), on input errors and on output that cannot be written, to --out or
+to stdout.
 
 Custom generators are supplied as a SchottkyData JSON document:
 
@@ -76,13 +77,13 @@ def _load_certified(input_path: Optional[str]) -> SchottkyData:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-        return
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w") as fh:
+                fh.write(text)
     except OSError as exc:
         _fail(f"output error: {exc}", 2)
 

@@ -126,14 +126,11 @@ DEFAULT_FAMILY = WordFamily()
 
 
 def theta(n: int, fam: WordFamily = DEFAULT_FAMILY) -> Word:
-    """w_1 r_1 ... w_n r_n where r_k is w_k written backwards, freely reduced."""
+    """w_1 r_1 ... w_n r_n where r_k is w_k written backwards, freely reduced:
+    the expansion of the symbol word S1.S2...Sn."""
     if n < 1:
         raise BadIndex(f"index must be >= 1, got {n}")
-    out = EMPTY
-    for k in range(1, n + 1):
-        wk = fam.word(k)
-        out = out * wk * reverse(wk)
-    return reduce(out)
+    return expand(SymbolWord(tuple((k, 1) for k in range(1, n + 1))), fam)
 
 
 def is_prefix_free(fam: WordFamily) -> bool:

@@ -27,10 +27,6 @@ from typing import Union
 from .value import Value, init_field
 
 
-class IdentityElement(ValueError):
-    """Raised when an operation requires a non-identity isometry."""
-
-
 class BoundaryPoint(ValueError):
     """Raised when a metric operation receives a non-interior point."""
 
@@ -125,12 +121,6 @@ class GeodesicRay(Value):
             raise ValueError("ray endpoint must be on the boundary")
         init_field(self, "base", base)
         init_field(self, "endpoint", endpoint)  # Boundary or Infinity
-
-
-class IsometryClass:
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    LOXODROMIC = "loxodromic"
 
 
 class GroupElement(Value):
@@ -252,16 +242,10 @@ def apply(g: GroupElement, p: Point) -> Point:
     return Boundary(Fraction(a * n + b * m, den))
 
 
-def classify(g: GroupElement) -> str:
-    """Trace trichotomy on the det-1 representative, decided exactly."""
-    if g.is_identity():
-        raise IdentityElement("identity has no isometry class")
-    t = abs(g.trace())
-    if t < 2:
-        return IsometryClass.ELLIPTIC
-    if t == 2:
-        return IsometryClass.PARABOLIC
-    return IsometryClass.LOXODROMIC
+def is_loxodromic(g: GroupElement) -> bool:
+    """|trace| > 2 on the det-1 representative, decided exactly; the
+    identity, of trace 2, is not loxodromic."""
+    return abs(g.trace()) > 2
 
 
 def hyp_dist(p: Point, q: Point) -> float:

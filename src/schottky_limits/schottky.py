@@ -10,25 +10,12 @@ import json
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .freewords import Word
-from .mobius import (
-    BASE_POINT,
-    Boundary,
-    GroupElement,
-    Interior,
-    IsometryClass,
-    apply,
-    classify,
-    inverse,
-)
+from .freewords import NotReduced, Word
+from .mobius import BASE_POINT, Boundary, GroupElement, Interior, apply, inverse, is_loxodromic
 from .value import Value, init_field
 
 
 class EmptyWord(ValueError):
-    pass
-
-
-class NotReducedWord(ValueError):
     pass
 
 
@@ -236,7 +223,7 @@ def verify_ping_pong(sd: SchottkyData) -> Union[Certificate, Violation]:
     checks: List[str] = []
 
     for name, g in (("gen_a", sd.gen_a), ("gen_b", sd.gen_b)):
-        if g.is_identity() or classify(g) != IsometryClass.LOXODROMIC:
+        if not is_loxodromic(g):
             return Violation("not-loxodromic", f"{name} is not loxodromic")
         checks.append(f"{name} is loxodromic (|trace| > 2 exactly)")
 
@@ -316,6 +303,6 @@ def nested_disk(w: Word, sd: SchottkyData) -> Circle:
     if len(w) == 0:
         raise EmptyWord("nested_disk needs a nonempty word")
     if not w.is_reduced():
-        raise NotReducedWord("nested_disk needs a reduced word")
+        raise NotReduced("nested_disk needs a reduced word")
     prefix = word_to_element(Word(w.letters[:-1]), sd)
     return image_circle(prefix, sd.target_disk(*w.letters[-1]), require_bounded=True)

@@ -52,11 +52,9 @@ from schottky_limits.freewords import (
 from schottky_limits.mobius import (
     INFINITY,
     Boundary,
-    IdentityElement,
     Infinity,
-    IsometryClass,
-    classify,
     hyp_dist,
+    is_loxodromic,
 )
 from schottky_limits.schottky import word_to_element
 
@@ -304,7 +302,7 @@ def fixed_points(g):
     Exact when the discriminant is a rational square, floats otherwise.
     """
     if g.is_identity():
-        raise IdentityElement("identity fixes everything")
+        raise ValueError("identity fixes everything")
     if g.m21 == 0:
         pts = [INFINITY]
         if g.m11 != g.m22:
@@ -329,7 +327,7 @@ def fixed_points(g):
 
 def attracting_fixed_point(g):
     """The attracting boundary fixed point of a loxodromic element."""
-    if classify(g) != IsometryClass.LOXODROMIC:
+    if not is_loxodromic(g):
         raise ValueError("attracting fixed point requires a loxodromic element")
     if g.m21 == 0:
         if abs(g.m11) > abs(g.m22):

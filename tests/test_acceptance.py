@@ -26,11 +26,10 @@ from schottky_limits.mobius import (
     GeodesicRay,
     GroupElement,
     Interior,
-    IsometryClass,
     apply,
-    classify,
     dist_to_ray,
     hyp_dist,
+    is_loxodromic,
 )
 from schottky_limits.schottky import (
     Certificate,
@@ -115,7 +114,7 @@ def test_criterion_03_purely_loxodromic(sd):
     for s in orbit_samples(sd, 8):
         if len(s.word) == 0:
             continue
-        assert classify(s.element) == IsometryClass.LOXODROMIC, s.word
+        assert is_loxodromic(s.element), s.word
         checked += 1
     report(f"criterion 3 PASS: all {checked} elements loxodromic by exact trace test")
 

@@ -142,8 +142,8 @@ class TestCertify:
 
 
 class TestUnwritableOut:
-    """An --out path that cannot be written exits 2 with one line on stderr,
-    after the computation, instead of a traceback."""
+    """Output that cannot be written, to an --out path or to stdout, exits 2
+    with one line on stderr, after the computation, instead of a traceback."""
 
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     @pytest.mark.parametrize("args", [
@@ -162,6 +162,28 @@ class TestUnwritableOut:
         assert result.stderr.startswith("output error: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+    @staticmethod
+    def report_to(stdout):
+        proc = run_python("from schottky_limits.cli import main; main()", "report",
+                          stdout=stdout)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"output error: ")
+        assert b"Traceback" not in proc.stderr
+
+    def test_closed_stdout_pipe(self):
+        # Python ignores SIGPIPE, so the first write raises EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            self.report_to(write_end)
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_device(self):
+        with open("/dev/full", "w") as full:
+            self.report_to(full)
 
 
 RATIONAL_STRINGS = st.one_of(
@@ -595,15 +617,23 @@ class TestSchemas:
         assert re.fullmatch(r"schema violation: [^\n]+\n", result.stderr)
 
 
-def run_python(code, *args):
+def run_python(code, *args, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 class TestStartupImports:
     HEAVY = "{'jsonschema', 'referencing', 'attrs', 'attr', 'rpds'}"
+
+    def test_package_root_loads_no_module(self):
+        proc = run_python(
+            "import schottky_limits, sys; print(sorted(m for m in sys.modules"
+            " if m.startswith('schottky_limits.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
 
     def test_cli_imports_no_jsonschema(self):
         proc = run_python(

@@ -12,17 +12,15 @@ from schottky_limits.mobius import (
     BoundaryPoint,
     GeodesicRay,
     GroupElement,
-    IdentityElement,
     Infinity,
     Interior,
-    IsometryClass,
     NonUnitDeterminant,
     apply,
-    classify,
     compose,
     dist_to_ray,
     hyp_dist,
     inverse,
+    is_loxodromic,
 )
 
 from conftest import interior_points, unit_det_matrices
@@ -122,29 +120,32 @@ class TestApply:
         assert apply(g, p).y > 0
 
 
-class TestClassify:
+class TestIsLoxodromic:
     def test_parabolic(self):
-        assert classify(GroupElement.of(1, 1, 0, 1)) == IsometryClass.PARABOLIC
+        assert not is_loxodromic(GroupElement.of(1, 1, 0, 1))
 
     def test_loxodromic(self):
-        assert classify(DIAG) == IsometryClass.LOXODROMIC
+        assert is_loxodromic(DIAG)
 
     def test_elliptic(self):
-        assert classify(GroupElement.of(0, 1, -1, 0)) == IsometryClass.ELLIPTIC
+        assert not is_loxodromic(GroupElement.of(0, 1, -1, 0))
 
-    def test_identity_rejected(self):
-        with pytest.raises(IdentityElement):
-            classify(I)
-        with pytest.raises(IdentityElement):
-            classify(GroupElement.of(-1, 0, 0, -1))
+    def test_identity_not_loxodromic(self):
+        assert not is_loxodromic(I)
+        assert not is_loxodromic(GroupElement.of(-1, 0, 0, -1))
 
     @given(unit_det_matrices(), unit_det_matrices())
     @settings(max_examples=60)
     def test_conjugation_invariant(self, g, h):
+        conj = compose(compose(h, g), inverse(h))
+        assert is_loxodromic(conj) == is_loxodromic(g)
+
+    @given(unit_det_matrices())
+    def test_two_fixed_points_exactly_when_loxodromic(self, g):
+        # fixed_points solves the fixed-point quadratic, with c = 0 apart
         if g.is_identity():
             return
-        conj = compose(compose(h, g), inverse(h))
-        assert classify(conj) == classify(g)
+        assert is_loxodromic(g) == (len(fixed_points(g)) == 2)
 
 
 class TestFixedPoints:

@@ -3,20 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from schottky_limits.freewords import Word, reduce, theta
-from schottky_limits.mobius import (
-    BASE_POINT,
-    GroupElement,
-    IsometryClass,
-    apply,
-    classify,
-    inverse,
-)
+from schottky_limits.freewords import NotReduced, Word, reduce, theta
+from schottky_limits.mobius import BASE_POINT, GroupElement, apply, inverse, is_loxodromic
 from schottky_limits.schottky import (
     Certificate,
     Circle,
     EmptyWord,
-    NotReducedWord,
     SchottkyData,
     Violation,
     default_generators,
@@ -54,8 +46,8 @@ class TestCircle:
 
 class TestDefaultGenerators:
     def test_loxodromic(self, sd):
-        assert classify(sd.gen_a) == IsometryClass.LOXODROMIC
-        assert classify(sd.gen_b) == IsometryClass.LOXODROMIC
+        assert is_loxodromic(sd.gen_a)
+        assert is_loxodromic(sd.gen_b)
 
     def test_certified(self, sd):
         assert isinstance(verify_ping_pong(sd), Certificate)
@@ -147,7 +139,7 @@ class TestNestedDisk:
             nested_disk(Word(), sd)
 
     def test_unreduced_rejected(self, sd):
-        with pytest.raises(NotReducedWord):
+        with pytest.raises(NotReduced):
             nested_disk(Word.from_string("aA"), sd)
 
     def test_two_letter_nesting(self, sd):
@@ -186,7 +178,7 @@ class TestDeskScaleFreeness:
                     continue
                 ng = g * sd.generator(*let)
                 assert not ng.is_identity()
-                assert classify(ng) == IsometryClass.LOXODROMIC
+                assert is_loxodromic(ng)
                 if depth > 1:
                     walk(letters + [let], ng, depth - 1)
 
