@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, NoReturn, Optional, Tuple
 
@@ -85,6 +86,10 @@ def _emit(text: str, out: Optional[str]) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
     except OSError as exc:
+        if out is None:
+            # the unwritten bytes stay buffered, and the interpreter's flush
+            # at exit would fail again and turn the exit status into 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _fail(f"output error: {exc}", 2)
 
 

@@ -308,7 +308,8 @@ def fixed_points(g):
         if g.m11 != g.m22:
             pts.append(Boundary(g.m12 / (g.m22 - g.m11)))
         return set(pts)
-    disc = g.trace() ** 2 - 4
+    # the quadratic's own discriminant, from the entries, not the trace
+    disc = (g.m22 - g.m11) ** 2 + 4 * g.m12 * g.m21
     if disc < 0:
         return set()
     s = _rational_sqrt(disc)

@@ -163,27 +163,34 @@ class TestUnwritableOut:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
-    @staticmethod
-    def report_to(stdout):
-        proc = run_python("from schottky_limits.cli import main; main()", "report",
-                          stdout=stdout)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(b"output error: ")
-        assert b"Traceback" not in proc.stderr
+    STDOUT_COMMANDS = pytest.mark.parametrize("args", [
+        ["report"], ["certify"], ["render", "--n-max", "3"],
+    ], ids=["report", "certify", "render"])
 
-    def test_closed_stdout_pipe(self):
+    @staticmethod
+    def run_to(stdout, args):
+        proc = run_python("from schottky_limits.cli import main; main()", *args,
+                          stdout=stdout)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"output error: ")
+        # one line: no traceback, and no failed flush at interpreter exit
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+
+    @STDOUT_COMMANDS
+    def test_closed_stdout_pipe(self, args):
         # Python ignores SIGPIPE, so the first write raises EPIPE
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            self.report_to(write_end)
+            self.run_to(write_end, args)
         finally:
             os.close(write_end)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_stdout_device(self):
+    @STDOUT_COMMANDS
+    def test_full_stdout_device(self, args):
         with open("/dev/full", "w") as full:
-            self.report_to(full)
+            self.run_to(full, args)
 
 
 RATIONAL_STRINGS = st.one_of(
@@ -618,8 +625,10 @@ class TestSchemas:
 
 
 def run_python(code, *args, stdout=subprocess.PIPE):
+    """Run `code` in a fresh interpreter with the default, buffered stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=120)
 

@@ -142,7 +142,8 @@ class TestIsLoxodromic:
 
     @given(unit_det_matrices())
     def test_two_fixed_points_exactly_when_loxodromic(self, g):
-        # fixed_points solves the fixed-point quadratic, with c = 0 apart
+        # fixed_points takes the discriminant from the entries of the
+        # fixed-point quadratic, with c = 0 apart; it reads no trace
         if g.is_identity():
             return
         assert is_loxodromic(g) == (len(fixed_points(g)) == 2)
