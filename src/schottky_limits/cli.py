@@ -29,9 +29,10 @@ Custom generators are supplied as a SchottkyData JSON document:
     }
 
 Matrix entries and circle data are rational strings "p/q" of at most 200
-characters, without exponent notation; matrices must normalize to
-determinant 1. construct, intersect and render refuse an input
-whose ping-pong certificate fails, with exit 1 and the violation on stderr.
+characters, without exponent notation, '_' or inner whitespace; matrices
+must normalize to determinant 1. construct, intersect and render refuse an
+input whose ping-pong certificate fails, with exit 1 and the violation on
+stderr.
 """
 
 from __future__ import annotations

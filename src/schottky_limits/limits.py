@@ -15,9 +15,9 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
-from .freewords import EMPTY, Letter, Syllable, Word, WordFamily, _join, _products, reduce, theta
+from .freewords import EMPTY, Letter, Word, WordFamily, _join, _products, reduce, theta
 from .mobius import (
     BASE_POINT,
     Boundary,
@@ -172,26 +172,42 @@ def radial_check(eta: Boundary, orbit: Sequence[Interior]) -> RadialWitness:
     return RadialWitness(eta, c, per_n)
 
 
-def _factors(gens: Sequence[Word]) -> List[Tuple[Syllable, Tuple[Letter, ...]]]:
-    """The generators and their inverses as the factors of _products: the
-    symbol (i, e) stands for gens[i] ** e."""
-    if not gens:
-        raise ValueError("gens must be nonempty")
-    return [
-        ((i, e), (f if e == 1 else f.inverse()).letters)
-        for i, f in enumerate(reduce(g) for g in gens)
-        for e in (1, -1)
-    ]
+def _join_with_matrix(left: tuple, right: tuple) -> tuple:
+    """The join of _products on (letters, matrix) pairs: the letters by
+    _join, the matrices by their product."""
+    return _join(left[0], right[0]), left[1] * right[1]
 
 
-def enumerate_subgroup(gens: Sequence[Word], max_syllables: int) -> Set[Word]:
+def enumerate_subgroup(
+    gens: Sequence[Word], max_syllables: int, sd: SchottkyData
+) -> Dict[Word, GroupElement]:
     """Reduced {a,b} normal forms of all products of <= max_syllables factors
-    from gens and their inverses, reduced as symbol sequences first.
+    from gens and their inverses, reduced as symbol sequences first, each
+    with its exact matrix.
+
+    The one walk of _products carries both: a product's form is its
+    parent's joined to its last factor's, and its matrix is its parent's
+    times its last factor's, the factors' matrices coming from
+    word_to_element, so no matrix is computed from a normal form. The
+    identity comes first, so a product whose form wrongly reduces to e
+    replaces the identity's matrix with its own.
 
     Normal forms are faithful once the ambient group is certified free, so
-    the & of two such sets is the intersection of the enumerated elements.
+    the & of the forms of two subgroups is the intersection of the
+    enumerated elements.
     """
-    return {EMPTY} | {Word(w) for _, w in _products(_factors(gens), max_syllables, _join)}
+    if not gens:
+        raise ValueError("gens must be nonempty")
+    factors = [
+        ((i, e), (h.letters, word_to_element(h, sd)))
+        for i, f in enumerate(reduce(g) for g in gens)
+        for e, h in ((1, f), (-1, f.inverse()))
+    ]
+    subgroup = {EMPTY: GroupElement.identity()}
+    subgroup.update(
+        (Word(w), m) for _, (w, m) in _products(factors, max_syllables, _join_with_matrix)
+    )
+    return subgroup
 
 
 def theta_generators(fam: WordFamily) -> Tuple[List[Word], List[Word]]:
@@ -201,46 +217,25 @@ def theta_generators(fam: WordFamily) -> Tuple[List[Word], List[Word]]:
     return thetas[0::2], thetas[1::2]
 
 
-def _join_with_matrix(left: tuple, right: tuple) -> tuple:
-    """The join of _products on (letters, matrix) pairs: the letters by
-    _join, the matrices by their product."""
-    return _join(left[0], right[0]), left[1] * right[1]
-
-
-def _product_matrices(
-    gens: Sequence[Word], max_syllables: int, sd: SchottkyData
-) -> Iterator[Tuple[Word, GroupElement]]:
-    """The normal form and exact matrix of the identity and of each product
-    that enumerate_subgroup enumerates.
-
-    A product's matrix is its parent's times its last factor's, and the
-    factors' matrices come from word_to_element, so no matrix is computed
-    from a normal form.
-    """
-    factors = [(s, (f, word_to_element(Word(f), sd))) for s, f in _factors(gens)]
-    yield EMPTY, GroupElement.identity()
-    for _, (letters, m) in _products(factors, max_syllables, _join_with_matrix):
-        yield Word(letters), m
-
-
 def intersect_by_matrices(
-    gens1: Sequence[Word], gens2: Sequence[Word], max_syllables: int, sd: SchottkyData
+    g1: Dict[Word, GroupElement], g2: Dict[Word, GroupElement]
 ) -> Set[Word]:
-    """Cross-check, by exact matrix comparison, of the intersection of the
-    enumerate_subgroup sets: the normal forms of the products of gens2 whose
-    matrix is that of a product of gens1, both up to max_syllables factors.
+    """Cross-check, by exact matrix comparison, of the intersection of two
+    enumerate_subgroup results: the normal forms of g2 whose matrix is the
+    matrix of a product in g1.
 
     The matrices are built from the factors, not from the normal forms, so a
-    wrong normal form that equals a word of the other subgroup shows as a
-    disagreement with the normal-form intersection.
+    wrong normal form that equals a form of the other subgroup, e included,
+    shows as a disagreement with the normal-form intersection.
     """
-    in_g1 = {m for _, m in _product_matrices(gens1, max_syllables, sd)}
-    return {w for w, m in _product_matrices(gens2, max_syllables, sd) if m in in_g1}
+    in_g1 = set(g1.values())
+    return {w for w, m in g2.items() if m in in_g1}
 
 
 class ThetaIntersection(Value):
-    """The odd and even theta subgroups of enumerate_subgroup, their
-    normal-form intersection, and whether intersect_by_matrices agrees."""
+    """The normal forms of the odd and even theta subgroups of
+    enumerate_subgroup, their intersection, and whether
+    intersect_by_matrices agrees."""
 
     __slots__ = ("g1", "g2", "common", "cross_check_agrees")
 
@@ -255,7 +250,7 @@ def theta_intersection(sd: SchottkyData, max_index: int, max_syllables: int) -> 
     subgroups up to max_index, each enumerated up to max_syllables factors,
     intersected by normal forms and cross-checked by exact matrices."""
     odd, even = theta_generators(WordFamily(max_index=max_index))
-    g1, g2 = enumerate_subgroup(odd, max_syllables), enumerate_subgroup(even, max_syllables)
-    common = g1 & g2
-    agrees = intersect_by_matrices(odd, even, max_syllables, sd) == common
-    return ThetaIntersection(g1, g2, common, agrees)
+    g1 = enumerate_subgroup(odd, max_syllables, sd)
+    g2 = enumerate_subgroup(even, max_syllables, sd)
+    common = g1.keys() & g2.keys()
+    return ThetaIntersection(set(g1), set(g2), common, intersect_by_matrices(g1, g2) == common)

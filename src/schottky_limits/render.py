@@ -38,32 +38,13 @@ def to_canvas(w: complex) -> Tuple[float, float]:
 
 def disk_circle(lo: Fraction, hi: Fraction) -> Tuple[float, float, float]:
     """Image of the boundary-orthogonal half-plane circle with footprint
-    [lo, hi]: a disk circle through the Cayley images of the two footprint
-    endpoints and the top point."""
-    p1 = cayley(complex(float(lo)))
-    p2 = cayley(complex(float(hi)))
-    p3 = cayley(complex(float((lo + hi) / 2), float((hi - lo) / 2)))
-    if abs(p1 - p2) < 1e-9:
-        # disk below float resolution on the canvas: draw a point circle
-        return p3.real, p3.imag, 0.0
-    return circumcircle(p1, p2, p3)
-
-
-def circumcircle(p1: complex, p2: complex, p3: complex) -> Tuple[float, float, float]:
-    ax, ay, bx, by, cx, cy = p1.real, p1.imag, p2.real, p2.imag, p3.real, p3.imag
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    ux = (
-        (ax * ax + ay * ay) * (by - cy)
-        + (bx * bx + by * by) * (cy - ay)
-        + (cx * cx + cy * cy) * (ay - by)
-    ) / d
-    uy = (
-        (ax * ax + ay * ay) * (cx - bx)
-        + (bx * bx + by * by) * (ax - cx)
-        + (cx * cx + cy * cy) * (bx - ax)
-    ) / d
-    r = math.hypot(ax - ux, ay - uy)
-    return ux, uy, r
+    [lo, hi]: the circle through p = cayley(lo) and q = cayley(hi) that is
+    orthogonal to the unit circle, with center 2(p + q)/|p + q|^2 and radius
+    |p - q|/|p + q|. A disk below float resolution has radius 0 at p."""
+    p, q = cayley(complex(float(lo))), cayley(complex(float(hi)))
+    s = abs(p + q)
+    c = 2 * (p + q) / (s * s)
+    return c.real, c.imag, abs(p - q) / s
 
 
 def _fmt(v: float) -> str:

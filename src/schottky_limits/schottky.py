@@ -85,15 +85,16 @@ def _require_keys(value, where: str, keys: Tuple[str, ...]) -> dict:
 
 
 def _rational_string(value, where: str) -> str:
+    # Fraction's grammar beyond "p/q" (exponents, '_', inner spaces) varies by Python version
     if not (
         isinstance(value, str)
         and len(value) <= MAX_RATIONAL_CHARS
-        and "e" not in value
-        and "E" not in value
+        and not any(c in "eE_" for c in value)
+        and len(value.split()) <= 1
     ):
         raise ValueError(
             f"{where} must be a string of at most {MAX_RATIONAL_CHARS} characters"
-            " without exponent notation"
+            " without exponent notation, '_' or inner whitespace"
         )
     return value
 

@@ -497,7 +497,7 @@ REPORT_SCHEMA = {
     },
 }
 
-RATIONAL_SCHEMA = {"type": "string", "maxLength": 200, "pattern": "^[^eE]*$"}
+RATIONAL_SCHEMA = {"type": "string", "maxLength": 200, "pattern": r"^\s*[^eE_\s]*\s*$"}
 
 SCHOTTKY_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",

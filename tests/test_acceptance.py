@@ -139,9 +139,9 @@ def test_criterion_05_intersection_triviality(sd):
     t0 = time.perf_counter()
     odd = [theta(n, fam) for n in (1, 3, 5)]
     even = [theta(n, fam) for n in (2, 4, 6)]
-    g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(even, 3)
-    common = g1 & g2
-    cross = intersect_by_matrices(odd, even, 3, sd)
+    g1, g2 = enumerate_subgroup(odd, 3, sd), enumerate_subgroup(even, 3, sd)
+    common = g1.keys() & g2.keys()
+    cross = intersect_by_matrices(g1, g2)
     elapsed = time.perf_counter() - t0
     assert common == {Word()}
     assert cross == common

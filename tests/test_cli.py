@@ -608,6 +608,8 @@ class TestSchemas:
         (shipped_with(["gen_a", 0], "5/3".rjust(201, "0")), False),
         (shipped_with(["circles", "C_b", "radius"], "3/4".rjust(200, "0")), True),
         (shipped_with(["circles", "C_b", "radius"], "3/4".rjust(201, "0")), False),
+        (shipped_with(["circles", "C_a", "radius"], "3/0_4"), False),
+        (shipped_with(["circles", "C_a", "radius"], "3 / 4"), False),
     ])
     def test_explicit_documents(self, doc, accepted):
         assert oracle_rejects(doc) == (not accepted)

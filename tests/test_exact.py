@@ -1,7 +1,8 @@
 """The integer arithmetic of GroupElement, apply, hyp_dist and nested_disk,
 and the closed-form ray geometry of dist_to_ray, give exactly the rationals
 (and bit-identical floats) of the reference formulas in oracles.py; the ray
-that render_svg draws follows the reference ray to the canvas resolution."""
+that render_svg draws follows the reference ray to the canvas resolution,
+and each disk circle it draws is the geodesic circle on its footprint."""
 
 import importlib.util
 import math
@@ -16,8 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schottky_limits.freewords import EMPTY, WordFamily, reduce, theta
+from schottky_limits import limits
 from schottky_limits.limits import (
-    _product_matrices,
     enumerate_subgroup,
     estimate_limit_point,
     intersect_by_matrices,
@@ -26,6 +27,7 @@ from schottky_limits.limits import (
     orbit_samples,
     qi_check,
     theta_generators,
+    theta_intersection,
 )
 from schottky_limits.mobius import (
     BASE_POINT,
@@ -39,7 +41,7 @@ from schottky_limits.mobius import (
     dist_to_ray,
     hyp_dist,
 )
-from schottky_limits.render import cayley, render_svg, to_canvas
+from schottky_limits.render import cayley, disk_circle, render_svg, to_canvas
 from schottky_limits.schottky import (
     SchottkyData,
     default_generators,
@@ -47,7 +49,7 @@ from schottky_limits.schottky import (
     word_to_element,
 )
 
-from conftest import interior_points, rationals, unit_det_matrices, words
+from conftest import interior_points, invoke, rationals, unit_det_matrices, words
 from oracles import (
     _mpf,
     frac_disk_chain,
@@ -177,33 +179,40 @@ class TestIntersectByMatrices:
     @pytest.mark.parametrize("max_index, max_syllables", [(4, 2), (6, 3)])
     def test_trie_walk_equals_letter_by_letter(self, seed, max_index, max_syllables):
         """The matrices built down the trie of symbol words, each product's
-        parent times one factor, give the intersection that each normal
-        form's matrix built letter by letter gives."""
+        parent times one factor, are each normal form's matrix built letter
+        by letter, and give the intersection that those give."""
         sd = instance(seed)
         odd, even = theta_generators(WordFamily(max_index=max_index))
-        g1 = enumerate_subgroup(odd, max_syllables)
-        g2 = enumerate_subgroup(even, max_syllables)
-        got = intersect_by_matrices(odd, even, max_syllables, sd)
+        g1 = enumerate_subgroup(odd, max_syllables, sd)
+        g2 = enumerate_subgroup(even, max_syllables, sd)
+        got = intersect_by_matrices(g1, g2)
         assert got == ref_intersect_by_matrices(g1, g2, sd) == {EMPTY}
-        for gens, g in ((odd, g1), (even, g2)):
-            walked = dict(_product_matrices(gens, max_syllables, sd))
-            assert walked == {w: word_to_element(w, sd) for w in g}
+        for g in (g1, g2):
+            assert g == {w: word_to_element(w, sd) for w in g}
 
     @pytest.mark.parametrize("seed", [None, 11])
     def test_nontrivial_intersection(self, seed):
         sd = instance(seed)
         odd, _ = theta_generators(WordFamily(max_index=6))
         cyclic = [theta(3)]
-        g1, g2 = enumerate_subgroup(odd, 3), enumerate_subgroup(cyclic, 3)
-        got = intersect_by_matrices(odd, cyclic, 3, sd)
-        assert got == ref_intersect_by_matrices(g1, g2, sd) == (g1 & g2) == g2
+        g1, g2 = enumerate_subgroup(odd, 3, sd), enumerate_subgroup(cyclic, 3, sd)
+        got = intersect_by_matrices(g1, g2)
+        assert got == ref_intersect_by_matrices(g1, g2, sd) == (g1.keys() & g2.keys()) == set(g2)
         assert len(got) == 7
 
     def test_empty_sets(self, sd):
         with pytest.raises(ValueError):
-            intersect_by_matrices([], [theta(1)], 2, sd)
-        with pytest.raises(ValueError):
-            intersect_by_matrices([theta(1)], [], 2, sd)
+            enumerate_subgroup([], 2, sd)
+
+    def test_join_dropping_letters_fails_the_verdict(self, monkeypatch):
+        """A normal-form join that drops letters reduces every product of
+        two or more factors to e. Its matrix then replaces the identity's,
+        so the cross-check disagrees and the intersection is not verified."""
+        monkeypatch.setattr(limits, "_join", lambda left, right: ())
+        meet = theta_intersection(default_generators(), 6, 3)
+        assert meet.cross_check_agrees is False
+        assert meet.verified is False
+        assert invoke(["intersect", "--max-index", "4", "--max-syllables", "2"]).exit_code == 1
 
 
 class TestJsonRoundTrip:
@@ -281,6 +290,23 @@ class TestRayGeometry:
         for (x, y), t in zip(drawn, RENDER_TS):
             rx, ry = to_canvas(cayley(complex(*ref_point_along_ray(ray, t))))
             assert abs(x - rx) <= 1e-3 and abs(y - ry) <= 1e-3
+
+
+class TestDiskCircle:
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 11])
+    def test_geodesic_circle_through_footprint(self, seed):
+        """Each drawn disk circle, of the Schottky circles and of the
+        brackets up to n = 24, is orthogonal to the unit circle and passes
+        through the Cayley images of the footprint's ends and top point."""
+        sd = instance(seed)
+        footprints = [c.interval() for c in sd.circles()] + limit_point_brackets(sd, 24)[0]
+        for lo, hi in footprints:
+            ux, uy, r = disk_circle(lo, hi)
+            c = complex(ux, uy)
+            assert abs(c) ** 2 - r * r == pytest.approx(1, abs=1e-9)
+            top = complex(float((lo + hi) / 2), float((hi - lo) / 2))
+            for z in (complex(float(lo)), complex(float(hi)), top):
+                assert abs(cayley(z) - c) == pytest.approx(r, abs=1e-9)
 
 
 def mp_distance(p, q):
