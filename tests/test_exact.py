@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schottky_limits.freewords import EMPTY, WordFamily, reduce, theta
 from schottky_limits import limits
+from schottky_limits.freewords import EMPTY, WordFamily, reduce, theta
 from schottky_limits.limits import (
     enumerate_subgroup,
     estimate_limit_point,
