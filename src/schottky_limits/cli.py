@@ -248,8 +248,8 @@ def intersect(input_path, max_index, max_syllables):
     """Enumerate the odd/even theta subgroups and intersect their normal forms."""
     meet = limits.theta_intersection(_load_certified(input_path), max_index, max_syllables)
     doc = {
-        "g1_size": len(meet.g1),
-        "g2_size": len(meet.g2),
+        "g1_size": meet.g1_size,
+        "g2_size": meet.g2_size,
         "intersection": report_mod.word_strings(meet.common),
         "matrix_cross_check_agrees": meet.cross_check_agrees,
     }

@@ -1,9 +1,10 @@
 """Orbit geometry of the Schottky group: bounded enumeration, limit-point
 bracketing for the theta sequence, radial certification, quasi-isometry
 envelopes (the upper slope exact from the generators, the lower fitted over
-the matrices of the one reduced-product walk, freewords._products), and
-bounded subgroup intersection. theta_intersection is the one intersection
-stage of intersect and report, with a matrix cross-check.
+every reduced word u v, paired from the Gram matrices of the half-length
+words u and v of one walk of freewords._products), and bounded subgroup
+intersection. theta_intersection is the one intersection stage of intersect
+and report, with a matrix cross-check.
 
 All verdicts here are bounded-depth evidence at the stated ranges, never
 claims about the infinite group.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
@@ -70,6 +72,38 @@ class QIEstimate(Value):
     __slots__ = ("lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length")
 
 
+def _integer_product(m: tuple, n: tuple) -> tuple:
+    """The join of _products on raw integer matrices (a, b, c, d, det): the
+    2x2 product, with no content divided out, and its determinant."""
+    a, b, c, d, det = m
+    e, f, g, h, det2 = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, det * det2
+
+
+def _half_words(sd: SchottkyData, max_length: int) -> Tuple[dict, dict]:
+    """The reduced words of up to ceil(max_length / 2) letters, from one walk
+    of _products over raw integer matrices, as the prefixes and suffixes of
+    qi_check's pairing.
+
+    A prefix u of determinant D_u and column Gram matrix
+    u^T u = [[alpha, beta], [beta, gamma]] is filed under (length, last
+    letter) as (alpha, 2 beta, gamma, -2 D_u, 4 D_u, u); a suffix v of
+    determinant D_v and row Gram matrix v v^T = [[E, F], [F, H]] under
+    (length, first letter) as (E, F, H, D_v, v). The empty suffix, the
+    identity, is filed under (0, None).
+    """
+    factors = [(let, (g.a, g.b, g.c, g.d, g.s * g.s)) for let, g in _generators(sd)]
+    prefixes, suffixes = defaultdict(list), defaultdict(list)
+    suffixes[0, None].append((1, 0, 1, 1, (1, 0, 0, 1, 1)))
+    for w, m in _products(factors, (max_length + 1) // 2, _integer_product):
+        a, b, c, d, det = m
+        prefixes[len(w), w[-1]].append(
+            (a * a + c * c, 2 * (a * b + c * d), b * b + d * d, -2 * det, 4 * det, m)
+        )
+        suffixes[len(w), w[0]].append((a * a + b * b, a * c + b * d, c * c + d * d, det, m))
+    return prefixes, suffixes
+
+
 def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     """The tightest zero-intercept slopes over the reduced words up to
     max_length.
@@ -79,17 +113,56 @@ def qi_check(sd: SchottkyData, max_length: int) -> QIEstimate:
     isometry, so by the triangle inequality
     d(i, x_1...x_n(i)) <= d(i, x_1(i)) + ... + d(i, x_n(i)), and no word
     moves i further per letter than the generator that moves it furthest,
-    the largest displacement among the orbit samples of length one. The
-    lower slope is fitted at the bound: the least displacement per letter
-    over the nonempty reduced words, read from their matrices alone.
+    the largest displacement among the orbit samples of length one.
+
+    The lower slope is fitted at the bound: the least displacement per letter
+    over the nonempty reduced words, read from half-length words alone. A
+    reduced word of n letters is u v, with |u| = ceil(n/2), |v| = floor(n/2)
+    and the last letter of u not the inverse of the first of v; _half_words
+    gives the u and v. For an integer matrix M of determinant D,
+    (a - d)^2 + (b + c)^2 = |M|^2 - 2 D, and |u v|^2 is the Frobenius product
+    <u^T u, v v^T> = alpha E + 2 beta F + gamma H, so
+    sinh^2(d(i, uv(i))/2) = (alpha E + 2 beta F + gamma H - 2 D_u D_v)
+    / (4 D_u D_v) (Beardon, The Geometry of Discrete Groups, 7.2). That
+    ratio is the one mobius.displacement forms from the primitive matrix,
+    its numerator and denominator both times one square, and int division
+    rounds correctly: each word's float is displacement's, with no product
+    matrix and no GroupElement built. sqrt and asinh are monotone, so the
+    least ratio of each length n gives that length's slope
+    2 asinh(sqrt(ratio))/n. A ratio past the float range
+    (d above about 711) is left out; at a length where no word's ratio fits
+    a float, the slope is the least displacement of the words' elements.
     """
     upper = max(
         (s.displacement for s in orbit_samples(sd, min(max_length, 1)) if s.word),
         default=0.0,
     )
-    walk = _products(_generators(sd), max_length, operator.mul)
-    lower = min((displacement(g) / len(w) for w, g in walk), default=math.inf)
-    return QIEstimate(lower, 0.0, upper, 0.0, max_length)
+    prefixes, suffixes = _half_words(sd, max_length)
+    least: Dict[int, float] = {}
+    past: Dict[int, List[tuple]] = defaultdict(list)
+    for (p, last), us in prefixes.items():
+        cancelling = (last[0], -last[1])
+        for (q, first), vs in suffixes.items():
+            n = p + q
+            if q not in (p, p - 1) or n > max_length or first == cancelling:
+                continue
+            best = least.get(n, math.inf)
+            for alpha, beta2, gamma, minus_2du, du4, u in us:
+                for e, f, h, dv, v in vs:
+                    try:
+                        ratio = (alpha * e + beta2 * f + gamma * h + minus_2du * dv) / (du4 * dv)
+                    except OverflowError:
+                        past[n].append(_integer_product(u, v))
+                        continue
+                    if ratio < best:
+                        best = ratio
+            least[n] = best
+    slopes = [
+        2.0 * math.asinh(math.sqrt(ratio)) / n if ratio < math.inf
+        else min(displacement(GroupElement.of(*m[:4])) for m in past[n]) / n
+        for n, ratio in least.items()
+    ]
+    return QIEstimate(min(slopes, default=math.inf), 0.0, upper, 0.0, max_length)
 
 
 def limit_point_brackets(
@@ -233,11 +306,11 @@ def intersect_by_matrices(
 
 
 class ThetaIntersection(Value):
-    """The normal forms of the odd and even theta subgroups of
+    """The numbers of normal forms of the odd and even theta subgroups of
     enumerate_subgroup, their intersection, and whether
     intersect_by_matrices agrees."""
 
-    __slots__ = ("g1", "g2", "common", "cross_check_agrees")
+    __slots__ = ("g1_size", "g2_size", "common", "cross_check_agrees")
 
     @property
     def verified(self) -> bool:
@@ -253,4 +326,4 @@ def theta_intersection(sd: SchottkyData, max_index: int, max_syllables: int) -> 
     g1 = enumerate_subgroup(odd, max_syllables, sd)
     g2 = enumerate_subgroup(even, max_syllables, sd)
     common = g1.keys() & g2.keys()
-    return ThetaIntersection(set(g1), set(g2), common, intersect_by_matrices(g1, g2) == common)
+    return ThetaIntersection(len(g1), len(g2), common, intersect_by_matrices(g1, g2) == common)

@@ -126,7 +126,8 @@ class GeodesicRay(Value):
 class GroupElement(Value):
     __slots__ = ("a", "b", "c", "d", "s")
 
-    # compose builds one per product; Value's generic loop made qi_check slower
+    # compose builds one per product; Value's generic loop made the subgroup
+    # enumeration and the bracket walk slower
     def __init__(self, a: int, b: int, c: int, d: int, s: int):
         init_field(self, "a", a)
         init_field(self, "b", b)

@@ -103,7 +103,7 @@ def build_report(
 
     meet = theta_intersection(sd, max_index, max_syllables)
     report["intersection"] = word_strings(meet.common)
-    report["subgroup_sizes"] = {"g1": len(meet.g1), "g2": len(meet.g2)}
+    report["subgroup_sizes"] = {"g1": meet.g1_size, "g2": meet.g2_size}
     return report, free.verified and radial["radial_bounded_trend"] and meet.verified
 
 

@@ -23,7 +23,9 @@
   re-expands and re-reduces every symbol word and re-checks every pair.
 - The extreme displacements per letter of all reduced words up to a
   length, by brute force over every word, for limits.qi_check, which reads
-  the upper slope off the generators and walks only matrices for the lower.
+  the upper slope off the generators and, for the lower, pairs the words of
+  half the length by their Gram matrices (u^T u and v v^T, whose Frobenius
+  product is |u v|^2), never building a word's point or element.
 - The matrix cross-check of the subgroup intersection with each normal
   form's matrix built letter by letter. limits.intersect_by_matrices
   builds each product's matrix from its parent's and one factor's instead,

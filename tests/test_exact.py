@@ -5,6 +5,7 @@ that render_svg draws follows the reference ray to the canvas resolution,
 and each disk circle it draws is the geodesic circle on its footprint."""
 
 import importlib.util
+import itertools
 import math
 import re
 import sys
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schottky_limits import limits
-from schottky_limits.freewords import EMPTY, WordFamily, reduce, theta
+from schottky_limits import limits, mobius
+from schottky_limits.freewords import EMPTY, Word, WordFamily, reduce, theta
 from schottky_limits.limits import (
     enumerate_subgroup,
     estimate_limit_point,
@@ -488,3 +489,70 @@ class TestQiCheck:
         assert qi_check(along, 5).upper_alpha == upper
         fitted = max(high for _, high in ref_qi_extremes(along, 5).values())
         assert upper <= fitted <= math.nextafter(upper, math.inf)
+
+
+def brute_force_lower(sd, max_length):
+    """The least displacement(word_to_element(w)) / |w| over every reduced
+    word w of 1..max_length letters, each element built letter by letter."""
+    letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+    return min(
+        (
+            displacement(word_to_element(Word(w), sd)) / n
+            for n in range(1, max_length + 1)
+            for w in itertools.product(letters, repeat=n)
+            if Word(w).is_reduced()
+        ),
+        default=math.inf,
+    )
+
+
+def axis_conjugate(k):
+    """diag(k, 1/k) conjugated to the axis from -1 to 1, through i: it moves
+    i by 2 log k."""
+    e, f = Fraction(k * k + 1, 2 * k), Fraction(k * k - 1, 2 * k)
+    return GroupElement.of(e, f, f, e)
+
+
+class TestHalfLengthPairing:
+    """The lower slope of qi_check pairs half-length words by their Gram
+    matrices: the same floats as the per-word displacement, past the float
+    range too, and no product element built."""
+
+    @pytest.mark.parametrize("second", ["gen_b", "rotated"])
+    def test_past_the_float_range(self, sd, second):
+        # h moves i by 1040 log 2 > 711, so its ratio sinh^2(d/2) is past the
+        # float range. With gen_b, 46 of the 52 words up to length 3 are
+        # past it and left out; with the conjugate of h by a rotation about
+        # i, all 52 are, and each length's slope comes from displacement
+        h = axis_conjugate(2 ** 520)
+        assert displacement(h) > 711
+        ratio = lambda: ((h.a - h.d) ** 2 + (h.b + h.c) ** 2) / (4 * h.s * h.s)
+        assert outcome(ratio) is OverflowError
+        r = GroupElement.of(3, 4, -4, 3)
+        g = sd.gen_b if second == "gen_b" else r * h * r.inverse()
+        along = SchottkyData(h, g, *sd.circles())
+        for max_length in range(4):
+            assert qi_check(along, max_length).lower_alpha == brute_force_lower(along, max_length)
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_det_matrices(), unit_det_matrices())
+    def test_unequal_determinants(self, sd, g, h):
+        # the primitive integer matrices of g and h have different
+        # determinants, so D_u D_v varies among the words of one length
+        assume(g.s != h.s)
+        pair = SchottkyData(g, h, *sd.circles())
+        assert qi_check(pair, 4) == brute_force_qi(pair, 4, ref_qi_extremes(pair, 4))
+
+    def test_no_element_per_word(self, sd, monkeypatch):
+        calls = []
+        compose = mobius.compose
+
+        def counted(g, h):
+            calls.append(1)
+            return compose(g, h)
+
+        monkeypatch.setattr(mobius, "compose", counted)
+        sd.gen_a * sd.gen_b
+        assert len(calls) == 1
+        qi_check(sd, 8)
+        assert len(calls) == 1

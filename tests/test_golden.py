@@ -3,7 +3,8 @@ the copies in perfbench/golden/ (only read here); for the deep radial path,
 `construct --n-max 24` with theta products of about 2 100 bits, for the
 figure's 24 nested disks, all but the first below float resolution,
 `render --n-max 24`, for the orbit walk beyond the default depth,
-`report --max-length 9`, and for the reduced-product walk past the
+`report --max-length 9` and, pairing half-length words at an even depth,
+`report --max-length 10`, and for the reduced-product walk past the
 benchmark's bounds, `freeness` and `intersect` at index 8 and 4 syllables,
 the copies in tests/golden/."""
 
@@ -26,6 +27,7 @@ OWN_GOLDEN = Path(__file__).resolve().parent / "golden"
     (["freeness", "--max-index", "8", "--max-syllables", "4"], "freeness-8-4.json"),
     (["intersect", "--max-index", "8", "--max-syllables", "4"], "intersect-8-4.json"),
     (["render", "--n-max", "24"], "render-24.svg"),
+    (["report", "--max-length", "10"], "report-L10.json"),
 ])
 def test_stdout_matches_golden(args, name):
     result = invoke(args)

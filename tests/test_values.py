@@ -61,7 +61,7 @@ FIELDS = {
     Violation: ("name", "detail"),
     QIEstimate: ("lower_alpha", "lower_beta", "upper_alpha", "upper_beta", "max_length"),
     RadialWitness: ("eta", "constant_c", "per_n"),
-    ThetaIntersection: ("g1", "g2", "common", "cross_check_agrees"),
+    ThetaIntersection: ("g1_size", "g2_size", "common", "cross_check_agrees"),
 }
 
 #: the classes whose only constructor is Value(*fields)
@@ -91,8 +91,7 @@ SAMPLES = [
     WordFamily(omega, 12),
     VerificationReport(6, 4, 17568, 30240, True, True, None),
     VerificationReport(3, 2, 40, 18, True, False, "S1.S2^-1"),
-    ThetaIntersection(frozenset({EMPTY, Word.from_string("ab")}), frozenset({EMPTY}),
-                      frozenset({EMPTY}), True),
+    ThetaIntersection(2, 1, frozenset({EMPTY}), True),
 ]
 IDS = [f"{type(v).__name__}-{i}" for i, v in enumerate(SAMPLES)]
 
