@@ -1,5 +1,7 @@
 """Free-group words over {a, b}, the prefix-free family b^n a, and the
-exhaustive bounded verifier for free generation of the doubled-word sequence.
+bounded verifier for free generation of the doubled-word sequence, which
+counts the symbol words in closed form, checks each sign-change pair once and
+finds an empty product by pairing half-length symbol words.
 
 String form uses the case convention: 'a'/'b' are the generators, 'A'/'B'
 their inverses, and 'e' the empty word.
@@ -8,6 +10,7 @@ their inverses, and 'e' the empty word.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from .value import Value, init_field
@@ -238,9 +241,9 @@ def _products(
     The walk is depth first, with an explicit stack: each product comes
     before its children, and the children follow the order of factors. So
     when a product of k factors comes, the latest earlier products of
-    1..k-1 factors are its prefixes, and a caller that needs its parent's
-    data keeps a list indexed by length. The stack holds at most
-    max_syllables * len(factors) products.
+    1..k-1 factors are its prefixes, and the products of each length come
+    in lexicographic order by the positions of their factors. The stack
+    holds at most max_syllables * len(factors) products.
     """
     if max_syllables < 1:
         return
@@ -264,56 +267,83 @@ def _pair_survives(s: Syllable, t: Syllable, fam: WordFamily) -> bool:
     return _outer_letters_survive(fam.word(n1).inverse(), fam.word(n2))
 
 
+def _least_empty_word(
+    blocks: Sequence[Tuple[Syllable, Tuple[Letter, ...]]], max_syllables: int
+) -> Optional[Tuple[Syllable, ...]]:
+    """The least reduced symbol word, by (length, syllables), of 1..
+    max_syllables syllables that expands to the empty word, or None.
+
+    One walk of _products to ceil(max_syllables / 2) syllables gives the
+    halves, filed by syllable count, and the suffixes also by (count,
+    letters). A reduced word of k syllables is u v, with |u| = ceil(k/2),
+    |v| = floor(k/2) and the last syllable of u not the inverse of the first
+    of v; its letters are the reduction of u's letters times v's, which is
+    empty exactly when v's letters are the inverse of u's, both being
+    reduced. The walk is preorder over the sorted blocks, so at each length
+    the halves come in lexicographic order: the first u with a match, joined
+    to its least matching v, is the least empty word of length k, and the
+    first length that has one gives the least of all.
+    """
+    halves = defaultdict(list)
+    suffixes = defaultdict(list)
+    suffixes[0, ()].append(())
+    for syllables, letters in _products(blocks, (max_syllables + 1) // 2, _join):
+        halves[len(syllables)].append((syllables, letters))
+        suffixes[len(syllables), letters].append(syllables)
+    for k in range(1, max_syllables + 1):
+        for u, letters in halves[(k + 1) // 2]:
+            inverse = tuple((g, -e) for g, e in reversed(letters))
+            cancelling = (u[-1][0], -u[-1][1])
+            for v in suffixes.get((k // 2, inverse), ()):
+                if not v or v[0] != cancelling:
+                    return u + v
+    return None
+
+
 def verify_free_generation(
     fam: WordFamily, max_syllables: int
 ) -> VerificationReport:
-    """Exhaustively check that every nonempty reduced symbol word expands to a
-    nonempty reduced {a,b}-word, and that every adjacent-pair reduction keeps
-    its outermost letters.
+    """Check that every nonempty reduced symbol word of up to max_syllables
+    syllables expands to a nonempty reduced {a,b}-word, and that every
+    adjacent-pair reduction keeps its outermost letters.
 
     The adjacent pairs are (r_{n_i}, r_{n_{i+1}}^-1) at a +- sign change and
     (w_{n_i}^-1, w_{n_{i+1}}) at a -+ sign change; equal adjacent signs need
     no reduction since the blocks contain only positive letters.
 
-    The symbol words are the reduced products of the blocks w_n r_n and their
-    inverses, walked depth first by _products. A word has its parent's pairs
-    plus at most one new adjacent pair, its last: the pair counts of its
-    prefixes are kept in a list indexed by length, and each distinct pair
-    verdict is computed once. pairs_checked counts every occurrence of a pair
-    in every word. Only a word's last pair is checked: its other pairs are
-    those of a shorter prefix, which the walk checks as that prefix's last.
-    The counterexample is the failing word least by (length, syllables), so a
-    failing prefix always wins over its extensions; the alphabet is sorted,
-    so that word is the first failing one in breadth-first order.
+    No word is walked one by one. With m = max_index and K = max_syllables,
+    there are 2m(2m-1)^(k-1) reduced words of k syllables, and a given
+    sign-change pair (s, t) of different indices, one of 2m(m-1), sits at a
+    given one of the k-1 junctions of (2m-1)^(k-2) of them. So
+    words_checked = sum_{k=1..K} 2m(2m-1)^(k-1) and
+    pairs_checked = sum_{k=2..K} (k-1) 2m(m-1)(2m-1)^(k-2), counting every
+    occurrence of a pair in every word.
+
+    Every pair is itself a word of two syllables, so when K >= 2 the pairs
+    pass exactly when all 2m(m-1) of them pass. They are checked once each,
+    in sorted order, up to the first that fails, which is then the least
+    word with a failing pair. _least_empty_word finds the least empty word
+    from words of half the length. The counterexample is the lesser of the
+    two by (length, syllables), which is the first failing word in
+    breadth-first order over the sorted alphabet.
     """
     if not is_prefix_free(fam):
         raise PrefixFreeViolated(
             f"family is not prefix-free up to index {fam.max_index}"
         )
-    alphabet = sorted((n, e) for n in range(1, fam.max_index + 1) for e in (1, -1))
+    m = fam.max_index
+    words = sum(2 * m * (2 * m - 1) ** (k - 1) for k in range(1, max_syllables + 1))
+    pairs = sum((k - 1) * 2 * m * (m - 1) * (2 * m - 1) ** (k - 2)
+                for k in range(2, max_syllables + 1))
+    alphabet = sorted((n, e) for n in range(1, m + 1) for e in (1, -1))
+    failing = None
+    if max_syllables > 1:
+        changes = ((s, t) for s in alphabet for t in alphabet if s[0] != t[0] and s[1] != t[1])
+        failing = next((pair for pair in changes if not _pair_survives(*pair, fam)), None)
     blocks = [(s, expand(SymbolWord((s,)), fam).letters) for s in alphabet]
-    verdicts = {}
-    prefix_pairs = [0] * (max_syllables + 1)
-    words = pairs = 0
-    all_nonempty = outer_letters_ok = True
-    least = None
-    for syllables, letters in _products(blocks, max_syllables, _join):
-        k = len(syllables)
-        word_pairs, last_fails = prefix_pairs[k - 1], False
-        if k > 1 and syllables[-2][1] != syllables[-1][1]:
-            pair = syllables[-2:]
-            if pair not in verdicts:
-                verdicts[pair] = _pair_survives(*pair, fam)
-            word_pairs, last_fails = word_pairs + 1, not verdicts[pair]
-        prefix_pairs[k] = word_pairs
-        words += 1
-        pairs += word_pairs
-        if not letters:
-            all_nonempty = False
-        if last_fails:
-            outer_letters_ok = False
-        if (last_fails or not letters) and (least is None or (k, syllables) < least):
-            least = (k, syllables)
-    counterexample = None if least is None else SymbolWord(least[1]).to_string()
-    return VerificationReport(fam.max_index, max_syllables, words, pairs,
-                              all_nonempty, outer_letters_ok, counterexample)
+    empty = _least_empty_word(blocks, max_syllables)
+    least = min((w for w in (failing, empty) if w is not None),
+                key=lambda w: (len(w), w), default=None)
+    counterexample = None if least is None else SymbolWord(least).to_string()
+    return VerificationReport(m, max_syllables, words, pairs,
+                              empty is None, failing is None, counterexample)

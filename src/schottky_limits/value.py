@@ -36,16 +36,20 @@ class Value:
             cls._fields = cls.__slots__
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+        # each slot's member-descriptor setter, which skips the attribute
+        # lookup of init_field by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *fields):
-        slots = self.__slots__
-        if len(fields) != len(slots):
+        setters = self._setters
+        if len(fields) != len(setters):
+            slots = self.__slots__
             raise TypeError(
                 f"{self.__class__.__qualname__}({', '.join(slots)}) takes"
                 f" {len(slots)} values, got {len(fields)}"
             )
-        for name, value in zip(slots, fields):
-            init_field(self, name, value)
+        for set_field, value in zip(setters, fields):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -18,9 +18,12 @@
   float half-plane distance: the sampling oracle of dist_to_ray measures
   with these, never with the package's points or distance.
 - Boundary fixed points of a group element.
-- The letter-by-letter free-generation verifier that the incremental
-  symbol-word walk of freewords.verify_free_generation replaced: it
-  re-expands and re-reduces every symbol word and re-checks every pair.
+- The letter-by-letter free-generation verifier, which walks every symbol
+  word: it expands and reduces each one from scratch and checks every pair
+  where it occurs. freewords.verify_free_generation walks no word one by
+  one: it counts the words and pairs in closed form, checks each
+  sign-change pair once, and finds the least empty word by pairing symbol
+  words of half the syllable bound.
 - The extreme displacements per letter of all reduced words up to a
   length, by brute force over every word, for limits.qi_check, which reads
   the upper slope off the generators and, for the lower, pairs the words of

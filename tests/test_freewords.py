@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from schottky_limits import freewords
 from schottky_limits.freewords import (
     DEFAULT_FAMILY,
     EMPTY,
@@ -272,3 +273,62 @@ class TestVerifyFreeGeneration:
         for syllables in symbols:
             assert latest[len(syllables) - 1] == syllables[:-1]
             latest[len(syllables)] = syllables
+
+
+class TestHalfLengthEmptiness:
+    """verify_free_generation counts in closed form, checks each sign-change
+    pair once, and finds the least empty word from half-length words."""
+
+    @given(st.lists(reduced_words(4), min_size=2, max_size=3), st.sampled_from([4, 5]))
+    @example(["aa", "A"], 4)  # S1^-1.S2^-1.S2^-1 expands to the empty word
+    @example(["A", "aaa"], 4)  # S1^-1.S1^-1.S1^-1.S2^-1 does
+    @example(["B", "A", "bbaa"], 5)  # the least empty word has 5 syllables
+    @example(["B", "A", "bbaa"], 6)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, ws, max_syllables):
+        fam = family_of(*ws)
+        assume(is_prefix_free(fam))
+        got = verify_free_generation(fam, max_syllables)
+        assert got == ref_verify_free_generation(fam, max_syllables)
+
+    @pytest.mark.parametrize(
+        "ws, max_syllables, counterexample",
+        [
+            (["aa", "A"], 4, "S1^-1.S2^-1.S2^-1"),
+            (["A", "aaa"], 4, "S1^-1.S1^-1.S1^-1.S2^-1"),
+            (["B", "A", "bbaa"], 4, None),
+            (["B", "A", "bbaa"], 5, "S1^-1.S2^-1.S2^-1.S1^-1.S3^-1"),
+            (["B", "A", "bbaa"], 6, "S1^-1.S2^-1.S2^-1.S1^-1.S3^-1"),
+        ],
+    )
+    def test_empty_products_past_two_syllables(self, ws, max_syllables, counterexample):
+        rep = verify_free_generation(family_of(*ws), max_syllables)
+        assert rep.counterexample == counterexample
+        assert rep.all_nonempty == (counterexample is None)
+
+    def test_one_walk_to_half_length(self, monkeypatch):
+        calls = {"_join": 0, "_pair_survives": 0}
+
+        def counted(name):
+            original = getattr(freewords, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(freewords, name, counted(name))
+        rep = verify_free_generation(WordFamily(max_index=6), 4)
+        assert rep.verified
+        # 12 * 11 halves of two syllables; 12 * 5 sign-change pairs
+        assert calls == {"_join": 132, "_pair_survives": 60}
+
+    @pytest.mark.parametrize("max_syllables", [1, 2, 3, 4])
+    def test_one_index_counts(self, max_syllables):
+        fam = WordFamily(max_index=1)
+        rep = verify_free_generation(fam, max_syllables)
+        # S1 and S1^-1 each raised to the k-th power: no sign change
+        assert (rep.words_checked, rep.pairs_checked) == (2 * max_syllables, 0)
+        assert rep == ref_verify_free_generation(fam, max_syllables)

@@ -6,7 +6,8 @@ figure's 24 nested disks, all but the first below float resolution,
 `report --max-length 9` and, pairing half-length words at an even depth,
 `report --max-length 10`, and for the reduced-product walk past the
 benchmark's bounds, `freeness` and `intersect` at index 8 and 4 syllables,
-the copies in tests/golden/."""
+and, pairing half-length symbol words of 3 and 2 syllables, `freeness` at
+index 6 and 5 syllables, the copies in tests/golden/."""
 
 from pathlib import Path
 
@@ -28,6 +29,7 @@ OWN_GOLDEN = Path(__file__).resolve().parent / "golden"
     (["intersect", "--max-index", "8", "--max-syllables", "4"], "intersect-8-4.json"),
     (["render", "--n-max", "24"], "render-24.svg"),
     (["report", "--max-length", "10"], "report-L10.json"),
+    (["freeness", "--max-index", "6", "--max-syllables", "5"], "freeness-6-5.json"),
 ])
 def test_stdout_matches_golden(args, name):
     result = invoke(args)
