@@ -14,7 +14,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schottky_limits import limits, mobius
@@ -536,12 +536,20 @@ class TestHalfLengthPairing:
 
     @settings(max_examples=40, deadline=None)
     @given(unit_det_matrices(), unit_det_matrices())
+    @example(g=GroupElement.identity(), h=GroupElement.of(10, 3, 3, 9))
     def test_unequal_determinants(self, sd, g, h):
         # the primitive integer matrices of g and h have different
-        # determinants, so D_u D_v varies among the words of one length
+        # determinants, so D_u D_v varies among the words of one length.
+        # The upper slope is the generators' displacement; where a power
+        # moves i along the generator's axis (a symmetric h above), the
+        # float of its displacement over n may round one ulp above it, as in
+        # test_upper_slope_is_the_generators
         assume(g.s != h.s)
         pair = SchottkyData(g, h, *sd.circles())
-        assert qi_check(pair, 4) == brute_force_qi(pair, 4, ref_qi_extremes(pair, 4))
+        expected = brute_force_qi(pair, 4, ref_qi_extremes(pair, 4))
+        upper = max(displacement(g), displacement(h))
+        assert qi_check(pair, 4) == QIEstimate(expected.lower_alpha, 0.0, upper, 0.0, 4)
+        assert upper <= expected.upper_alpha <= math.nextafter(upper, math.inf)
 
     def test_no_element_per_word(self, sd, monkeypatch):
         calls = []
